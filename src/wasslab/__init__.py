@@ -1,5 +1,7 @@
 """Exact optimal transport and unit-slope field verification on discrete measures."""
 
+__version__ = "0.1.0"
+
 from .base_space import (
     BaseRay,
     BusemannField,
@@ -10,10 +12,7 @@ from .base_space import (
     as_point,
     base_field_from_config,
     base_geodesic_eval,
-    base_negative_gradient_ray,
-    eval_base_field,
     min_combine,
-    ray_eval,
 )
 from .discrete_measure import (
     DiscreteMeasure,
@@ -22,7 +21,6 @@ from .discrete_measure import (
     p_moment,
     push_forward,
     random_measure,
-    translate,
     validate_measure,
 )
 from .ot_exact import (
@@ -43,7 +41,6 @@ from .viscosity import (
     SlopeEstimate,
     DescentPolyline,
     dlg_test,
-    eval_field,
     global_slope_estimate,
     greedy_descent,
     inf_of_fields,
@@ -64,30 +61,27 @@ from .wgeom import (
     dirac_ray,
     displacement_path,
     dlc_limit,
-    path_eval,
     sphere_sample,
     wasserstein_ray,
 )
 from . import errors
 
-__version__ = "0.1.0"
-
 __all__ = [
     "BaseRay", "BusemannField", "CustomField", "DistanceField", "MinField",
     "ScalarField", "as_point", "base_field_from_config", "base_geodesic_eval",
-    "base_negative_gradient_ray", "eval_base_field", "min_combine", "ray_eval",
+    "min_combine",
     "DiscreteMeasure", "MeasureSetSequence", "dirac", "p_moment", "push_forward",
-    "random_measure", "translate", "validate_measure",
+    "random_measure", "validate_measure",
     "Coupling", "TransportResult", "brute_force_oracle", "wasserstein_1d_oracle",
     "wasserstein_exact",
     "ConstantField", "DistanceToField", "DlcLimitField", "InfField", "LiftedField",
     "MeasureField", "RayBusemannField", "SlopeEstimate", "DescentPolyline",
-    "dlg_test", "eval_field", "global_slope_estimate", "greedy_descent",
+    "dlg_test", "global_slope_estimate", "greedy_descent",
     "inf_of_fields", "lift", "lifted_ray", "lipschitz_probe",
     "local_slope_estimate", "measure_field_from_config", "representation_check",
     "viscosity_sphere_test",
     "BusemannEstimate", "WassersteinPath", "WassersteinRay", "busemann_estimate",
-    "cs_diagnostic", "dirac_ray", "displacement_path", "dlc_limit", "path_eval",
+    "cs_diagnostic", "dirac_ray", "displacement_path", "dlc_limit",
     "sphere_sample", "wasserstein_ray",
     "errors",
 ]

@@ -1,8 +1,10 @@
 """Acceptance battery: the package's exit criteria as one runnable checklist.
 
 Each criterion is a self-contained, seeded check returning (passed, detail).
-Tolerances are pinned here and nowhere else; the pytest acceptance module and
-the CLI `acceptance` subcommand both run exactly this list.
+Tolerances are pinned here, or, for the escaping-family criteria C03-C06, in
+the scenarios module whose computations they share with ex3/ex5. The pytest
+acceptance module and the CLI `acceptance` subcommand both run exactly this
+list; `run_all` is the one loop over it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,16 @@ from typing import Callable
 import numpy as np
 
 from .base_space import BusemannField, MinField
-from .discrete_measure import dirac, random_measure, validate_measure
-from .errors import DescentStalled
+from .discrete_measure import random_measure, validate_measure
+from .errors import DescentStalled, ParseError
 from .ot_exact import brute_force_oracle, wasserstein_1d_oracle, wasserstein_exact
-from .scenarios import escaping_mixture
+from .scenarios import (
+    DISTANCE_TOL,
+    escaping_distances,
+    escaping_sphere_cuts,
+    flat_limit_sphere,
+    vanishing_decay,
+)
 from .viscosity import (
     ConstantField,
     FAIL,
@@ -30,7 +38,7 @@ from .viscosity import (
     representation_check,
     viscosity_sphere_test,
 )
-from .wgeom import busemann_estimate, cs_diagnostic, dirac_ray, displacement_path
+from .wgeom import busemann_estimate, dirac_ray, displacement_path
 
 
 @dataclass(frozen=True)
@@ -88,28 +96,15 @@ def _crit_bruteforce() -> tuple[bool, str]:
 
 
 def _crit_escaping_distances() -> tuple[bool, str]:
-    origin = dirac([0.0])
-    worst = 0.0
-    for p in (2.0, 3.0):
-        for n in range(1, 51):
-            w = wasserstein_exact(escaping_mixture(n, p), origin, p).value
-            worst = max(worst, abs(w - n))
-    return worst <= 1e-9, f"max |W_p - n| = {worst:.2e} for n=1..50, p in (2,3)"
+    worst = max(err for p in (2.0, 3.0) for *_, err in escaping_distances(p))
+    return worst <= DISTANCE_TOL, f"max |W_p - n| = {worst:.2e} for n=1..50, p in (2,3)"
 
 
 def _crit_escaping_noncompact() -> tuple[bool, str]:
-    p = 2.0
-    origin = dirac([0.0])
-
-    def seq(k: int):
-        return escaping_mixture(k + 2, p)
-
     scaled = {}
     verdicts = {}
     for sigma in (1.0, 0.5, 2.0):
-        probe = cs_diagnostic(seq, sigma, origin, N=60, eps=0.0, K=5, p=p)
-        min_gap = probe["min_offdiag"]
-        rep = cs_diagnostic(seq, sigma, origin, N=60, eps=min_gap / 2.0, K=5, p=p)
+        min_gap, rep = escaping_sphere_cuts(2.0, sigma)
         scaled[sigma] = min_gap / sigma
         verdicts[sigma] = rep["verdict"]
     all_fail = all(v == FAIL for v in verdicts.values())
@@ -121,35 +116,14 @@ def _crit_escaping_noncompact() -> tuple[bool, str]:
 
 
 def _crit_vanishing_decay() -> tuple[bool, str]:
-    p = 2.0
-    delta1 = dirac([1.0])
-    mix = validate_measure([[1.0], [-2.0]], [0.5, 0.5])
-
-    def u_n(omega, n):
-        return wasserstein_exact(omega, escaping_mixture(n, p), p).value - n
-
-    worst = max(abs(u_n(delta1, n) - (math.sqrt(n * n - 1.0) - n))
-                for n in range(1, 101))
-    # headroom factor 2: n |u_n| increases toward its limit, so the raw n=10
-    # calibration is not an envelope of the tail
-    env_c = 2.0 * 10 * abs(u_n(mix, 10))
-    envelope = True
-    prev = math.inf
-    for n in range(10, 201):
-        v = abs(u_n(mix, n))
-        envelope = envelope and v <= env_c / n and v <= prev + 1e-12
-        prev = v
-    ok = worst <= 1e-10 and envelope
-    return ok, f"closed-form gap {worst:.2e} (n<=100), 1/n envelope with C={env_c:.4f}"
+    decay = vanishing_decay(200)
+    ok = decay.delta1_ok and decay.envelope_ok
+    return ok, (f"closed-form gap {decay.delta1_max_err:.2e} (n<=100), "
+                f"1/n envelope with C={decay.envelope_constant:.4f}")
 
 
 def _crit_flat_limit_fails_sphere() -> tuple[bool, str]:
-    mix = validate_measure([[1.0], [-2.0]], [0.5, 0.5])
-    res = viscosity_sphere_test(ConstantField(0.0, 2.0), mix,
-                                radii=(1.0, 0.5, 0.1), eps=1e-3,
-                                budget=10, rng=606)
-    gaps_ok = all(rp.best_gap >= 0.9 * rp.radius for rp in res.radii)
-    ok = res.verdict == FAIL and gaps_ok
+    res, ok = flat_limit_sphere(606)
     gaps = ", ".join(f"{rp.best_gap:.3f}@r={rp.radius}" for rp in res.radii)
     return ok, f"verdict {res.verdict}, gaps {gaps}"
 
@@ -328,15 +302,19 @@ CRITERIA: tuple[Criterion, ...] = (
 )
 
 
-def run_all(verbose: bool = False) -> list[tuple[str, bool, str]]:
-    """Run every criterion; returns (name, passed, detail) triples."""
+def run_all(only=None) -> list[tuple[str, bool, str]]:
+    """Run every criterion, or those whose name contains one of `only`.
+
+    Returns (name, passed, detail) triples; a criterion that raises fails.
+    """
+    selected = [c for c in CRITERIA if not only or any(w in c.name for w in only)]
+    if not selected:
+        raise ParseError(f"no criterion matches {sorted(set(only))}")
     results = []
-    for crit in CRITERIA:
+    for crit in selected:
         try:
             ok, detail = crit.run()
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((crit.name, ok, detail))
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'} {crit.name}: {detail}")
     return results

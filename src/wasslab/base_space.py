@@ -86,11 +86,6 @@ class BaseRay:
         return self.origin + (t * self.speed) * self.direction
 
 
-def ray_eval(ray: BaseRay, t: float) -> BasePoint:
-    """Evaluate a ray at parameter t >= 0."""
-    return ray.eval(t)
-
-
 class ScalarField:
     """A real function on R^d with a declared Lipschitz bound.
 
@@ -295,16 +290,6 @@ class CustomField(ScalarField):
     @property
     def has_analytic_rays(self) -> bool:
         return self.ray_fn is not None
-
-
-def eval_base_field(u: ScalarField, x) -> float:
-    """Evaluate a base field at a point."""
-    return u.evaluate(x)
-
-
-def base_negative_gradient_ray(u: ScalarField, x) -> BaseRay:
-    """Unit-speed ray from x along which u decreases at exactly unit rate."""
-    return u.negative_gradient_ray(x)
 
 
 def min_combine(fields: Sequence[ScalarField]) -> ScalarField:

@@ -3,7 +3,11 @@
 One subcommand per capability: `wp` (distances), `geodesic` (interpolation),
 `busemann`, `slope`, `check-viscosity`, `descend` (all driven by a JSON
 config), `reproduce` for the named scenarios, and `acceptance` for the full
-criteria battery. Exit code 0 means every expected verdict matched.
+criteria battery. Each subcommand takes only the shared flags it reads:
+`--p` all but acceptance, `--tol` busemann and reproduce, `--seed` slope,
+check-viscosity, descend and reproduce, `--n-max` reproduce, `--out`
+reproduce and acceptance. Exit code 0 means every expected verdict
+matched; malformed input exits 2 with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -11,12 +15,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
+from .acceptance import run_all
 from .discrete_measure import DiscreteMeasure
-from .errors import DescentStalled, WasslabError
+from .errors import DescentStalled, DomainError, ParseError, WasslabError
 from .ot_exact import wasserstein_exact
-from .scenarios import ScenarioConfig, emit_report, load_measures, run_scenario
+from .scenarios import (
+    ScenarioConfig,
+    acceptance_report,
+    emit_report,
+    load_measures,
+    read_json,
+    run_scenario,
+)
 from .viscosity import (
     dlg_test,
     global_slope_estimate,
@@ -34,30 +45,42 @@ def _print_json(obj) -> None:
 
 
 def _load_config(path: str) -> dict:
-    cfg = json.loads(Path(path).read_text())
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
-        raise WasslabError(f"{path}: config must be a JSON object")
+        raise ParseError(f"{path}: config must be a JSON object")
     return cfg
+
+
+def _field(cfg: dict, p: float):
+    if "field" not in cfg:
+        raise ParseError("config is missing the 'field' entry")
+    return measure_field_from_config(cfg["field"], p)
+
+
+def _pair(args) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    measures = load_measures(args.measures)
+    for flag, k in (("--i", args.i), ("--j", args.j)):
+        if not 0 <= k < len(measures):
+            raise DomainError(f"{flag} {k} is out of range: "
+                              f"{args.measures} holds {len(measures)} measures")
+    return measures[args.i], measures[args.j]
 
 
 def _measure(cfg: dict, key: str) -> DiscreteMeasure:
     if key not in cfg:
-        raise WasslabError(f"config is missing the {key!r} measure")
+        raise ParseError(f"config is missing the {key!r} measure")
     return DiscreteMeasure.from_json_dict(cfg[key])
 
 
 def _cmd_wp(args) -> int:
-    measures = load_measures(args.measures)
-    i, j = args.i, args.j
-    res = wasserstein_exact(measures[i], measures[j], args.p)
+    res = wasserstein_exact(*_pair(args), args.p)
     _print_json(res.to_json_dict())
     return 0
 
 
 def _cmd_geodesic(args) -> int:
-    measures = load_measures(args.measures)
     # report mode: construction re-certifies endpoints and constant speed
-    path = displacement_path(measures[args.i], measures[args.j], args.p, check=True)
+    path = displacement_path(*_pair(args), args.p, check=True)
     t = args.t if args.t is not None else args.frac * path.length
     out = {
         "length": path.length,
@@ -72,7 +95,7 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_busemann(args) -> int:
     cfg = _load_config(args.config)
-    U = measure_field_from_config(cfg["field"], args.p)
+    U = _field(cfg, args.p)
     ray = lifted_ray(U, _measure(cfg, "start"))
     est = busemann_estimate(ray, _measure(cfg, "omega"),
                             tol=float(cfg.get("tol", args.tol)),
@@ -91,7 +114,7 @@ def _cmd_busemann(args) -> int:
 
 def _cmd_slope(args) -> int:
     cfg = _load_config(args.config)
-    U = measure_field_from_config(cfg["field"], args.p)
+    U = _field(cfg, args.p)
     omega = _measure(cfg, "omega")
     local = local_slope_estimate(U, omega,
                                  radii=tuple(cfg.get("radii", (1.0, 0.5, 0.25))),
@@ -106,7 +129,7 @@ def _cmd_slope(args) -> int:
 
 def _cmd_check_viscosity(args) -> int:
     cfg = _load_config(args.config)
-    U = measure_field_from_config(cfg["field"], args.p)
+    U = _field(cfg, args.p)
     res = viscosity_sphere_test(U, _measure(cfg, "omega"),
                                 radii=tuple(cfg.get("radii", (1.0, 0.5, 0.1))),
                                 eps=float(cfg.get("eps", 1e-3)),
@@ -121,7 +144,7 @@ def _cmd_check_viscosity(args) -> int:
 
 def _cmd_descend(args) -> int:
     cfg = _load_config(args.config)
-    U = measure_field_from_config(cfg["field"], args.p)
+    U = _field(cfg, args.p)
     try:
         poly = greedy_descent(U, _measure(cfg, "omega"),
                               eps=float(cfg.get("epsilon", 1e-2)),
@@ -144,7 +167,7 @@ def _cmd_descend(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     cfg = ScenarioConfig(scenario=args.scenario, p=args.p, seed=args.seed,
-                         tol=args.tol, n_max=args.n_max, out=args.out)
+                         tol=args.tol, n_max=args.n_max)
     report = run_scenario(cfg)
     for name, value in sorted(report.verdicts.items()):
         print(f"{name}: {value}")
@@ -156,49 +179,28 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_acceptance(args) -> int:
-    from .acceptance import CRITERIA
-
-    selected = CRITERIA
-    if args.only:
-        wanted = set(args.only)
-        selected = tuple(c for c in CRITERIA if any(w in c.name for w in wanted))
-        if not selected:
-            print(f"no criterion matches {sorted(wanted)}", file=sys.stderr)
-            return 2
-    results = []
-    for crit in selected:
-        try:
-            ok, detail = crit.run()
-        except Exception as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((crit.name, ok, detail))
-        print(f"{'PASS' if ok else 'FAIL'} {crit.name}: {detail}")
+    results = run_all(args.only)
+    for name, ok, detail in results:
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     if args.out:
-        from .scenarios import Report, _stamp
-
-        report = Report("acceptance", stamp=_stamp(ScenarioConfig("acceptance")))
-        report.tables["criteria"] = {
-            "columns": ["criterion", "status", "detail"],
-            "rows": [[n, "PASS" if ok else "FAIL", d] for n, ok, d in results],
-        }
-        report.verdicts = {n: bool(ok) for n, ok, _ in results}
-        report.expected_ok = all(ok for _, ok, _ in results)
-        for path in emit_report(report, args.out):
+        for path in emit_report(acceptance_report(results), args.out):
             print(f"wrote {path}")
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
-def _add_common(sub, p_default=2.0):
-    sub.add_argument("--p", type=float, default=p_default,
-                     help="Wasserstein exponent (default %(default)s)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for every randomized choice (default %(default)s)")
-    sub.add_argument("--tol", type=float, default=1e-6,
-                     help="convergence tolerance (default %(default)s)")
-    sub.add_argument("--out", type=str, default=None,
-                     help="directory for report.json and CSV tables")
-    sub.add_argument("--n-max", dest="n_max", type=int, default=200,
-                     help="index cap for limit probes (default %(default)s)")
+_FLAGS = {  # dest -> (flag, type, default, help)
+    "p": ("--p", float, 2.0, "Wasserstein exponent (default %(default)s)"),
+    "seed": ("--seed", int, 0, "seed for every randomized choice (default %(default)s)"),
+    "tol": ("--tol", float, 1e-6, "convergence tolerance (default %(default)s)"),
+    "n_max": ("--n-max", int, 200, "index cap for limit probes (default %(default)s)"),
+    "out": ("--out", str, None, "directory for report.json and CSV tables"),
+}
+
+
+def _add_flags(sub, *names: str) -> None:
+    for name in names:
+        flag, type_, default, help_ = _FLAGS[name]
+        sub.add_argument(flag, dest=name, type=type_, default=default, help=help_)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("measures", help="JSON file with the measures")
     sp.add_argument("--i", type=int, default=0, help="index of the first measure")
     sp.add_argument("--j", type=int, default=1, help="index of the second measure")
-    _add_common(sp)
+    _add_flags(sp, "p")
     sp.set_defaults(fn=_cmd_wp)
 
     sp = subs.add_parser("geodesic", help="evaluate the displacement geodesic")
@@ -223,38 +225,38 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, default=None, help="absolute arc length")
     sp.add_argument("--frac", type=float, default=0.5,
                     help="arc-length fraction when --t is absent (default %(default)s)")
-    _add_common(sp)
+    _add_flags(sp, "p")
     sp.set_defaults(fn=_cmd_geodesic)
 
     sp = subs.add_parser("busemann", help="horizon value of a lifted-field ray")
     sp.add_argument("config", help="JSON config with field, start, omega")
-    _add_common(sp)
+    _add_flags(sp, "p", "tol")
     sp.set_defaults(fn=_cmd_busemann)
 
     sp = subs.add_parser("slope", help="local (and optional global) slope estimates")
     sp.add_argument("config")
-    _add_common(sp)
+    _add_flags(sp, "p", "seed")
     sp.set_defaults(fn=_cmd_slope)
 
     sp = subs.add_parser("check-viscosity", help="sphere-calibration test for unit slope")
     sp.add_argument("config")
-    _add_common(sp)
+    _add_flags(sp, "p", "seed")
     sp.set_defaults(fn=_cmd_check_viscosity)
 
     sp = subs.add_parser("descend", help="budgeted greedy descent of a field")
     sp.add_argument("config")
-    _add_common(sp)
+    _add_flags(sp, "p", "seed")
     sp.set_defaults(fn=_cmd_descend)
 
     sp = subs.add_parser("reproduce", help="run a named scenario")
     sp.add_argument("scenario", choices=["ex3", "ex5", "lift-demo"])
-    _add_common(sp)
+    _add_flags(sp, "p", "seed", "tol", "n_max", "out")
     sp.set_defaults(fn=_cmd_reproduce)
 
     sp = subs.add_parser("acceptance", help="run the acceptance criteria battery")
     sp.add_argument("--only", nargs="*", default=None,
                     help="run only criteria whose name contains one of these strings")
-    _add_common(sp)
+    _add_flags(sp, "out")
     sp.set_defaults(fn=_cmd_acceptance)
 
     return parser

@@ -178,11 +178,6 @@ def push_forward(m: DiscreteMeasure, f: Callable[[np.ndarray], np.ndarray]) -> D
     return validate_measure(np.array(rows), m.weights)
 
 
-def translate(m: DiscreteMeasure, v) -> DiscreteMeasure:
-    """Rigid translation; see DiscreteMeasure.translate."""
-    return m.translate(v)
-
-
 def random_measure(rng: np.random.Generator, max_atoms: int, dim: int,
                    box: float = 10.0, min_atoms: int = 1) -> DiscreteMeasure:
     """Seeded test-instance generator: uniform atoms in a box, random weights."""

@@ -11,6 +11,9 @@ Three named scenarios exercise the package end to end:
 * ``lift-demo``: a lifted min-of-three-horizons field with every verification
   tool expected to PASS.
 
+The escaping family's computations are defined once here; the ex3/ex5
+runners and acceptance criteria C03-C06 both call them and format the results.
+
 Reports are deterministic given the configuration: the same config produces
 identical numeric cells, and emitting the same Report twice produces
 byte-identical files (the timestamp field is excluded from comparisons).
@@ -27,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .base_space import BusemannField, MinField
 from .discrete_measure import (
     DiscreteMeasure,
@@ -48,6 +52,7 @@ from .viscosity import (
     ConstantField,
     FAIL,
     PASS,
+    SphereTestResult,
     dlg_test,
     greedy_descent,
     lift,
@@ -57,8 +62,6 @@ from .viscosity import (
     viscosity_sphere_test,
 )
 from .wgeom import cs_diagnostic, dlc_limit
-
-_VERSION = "0.1.0"
 
 
 def escaping_mixture(n: int, p: float) -> DiscreteMeasure:
@@ -76,7 +79,6 @@ class ScenarioConfig:
     seed: int = 0
     tol: float = 1e-6
     n_max: int = 200
-    out: str | None = None
 
 
 @dataclass
@@ -104,16 +106,21 @@ def _jsonable(obj):
     return obj
 
 
-def load_measures(path) -> list[DiscreteMeasure]:
-    """Read measures from a JSON file: one object, a list, or {"measures": [...]}."""
+def read_json(path):
+    """Parse a JSON file; IoError when it cannot be read, ParseError when malformed."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def load_measures(path) -> list[DiscreteMeasure]:
+    """Read measures from a JSON file: one object, a list, or {"measures": [...]}."""
+    obj = read_json(path)
     if isinstance(obj, dict) and "measures" in obj:
         items = obj["measures"]
     elif isinstance(obj, dict):
@@ -175,7 +182,7 @@ def emit_report(report: Report, out_dir) -> list[Path]:
 
 def _stamp(cfg: ScenarioConfig) -> dict:
     return {
-        "version": _VERSION,
+        "version": __version__,
         "seed": cfg.seed,
         "p": cfg.p,
         "tol": cfg.tol,
@@ -185,34 +192,118 @@ def _stamp(cfg: ScenarioConfig) -> dict:
     }
 
 
+def acceptance_report(results) -> Report:
+    """Report of the acceptance battery from its (name, passed, detail) triples."""
+    report = Report("acceptance", stamp=_stamp(ScenarioConfig("acceptance")))
+    report.tables["criteria"] = {
+        "columns": ["criterion", "status", "detail"],
+        "rows": [[name, PASS if ok else FAIL, detail] for name, ok, detail in results],
+    }
+    report.verdicts = {name: bool(ok) for name, ok, _ in results}
+    report.expected_ok = all(ok for _, ok, _ in results)
+    return report
+
+
 # ---------------------------------------------------------------------------
-# ex5: exact escaping distances, failed compactness diagnostic
+# the escaping family, computed once for ex3/ex5 and criteria C03-C06
 # ---------------------------------------------------------------------------
 
-def _run_ex5(cfg: ScenarioConfig) -> Report:
-    report = Report("ex5", stamp=_stamp(cfg))
-    p = cfg.p
+DISTANCE_TOL = 1e-9       # budget for |W_p(escaping_mixture(n, p), delta_0) - n|
+CLOSED_FORM_TOL = 1e-10   # budget for |u_n(delta_1) - (sqrt(n^2 - 1) - n)|
+ENVELOPE_N0 = 10          # index at which the 1/n envelope is calibrated
+
+
+def escaping_distances(p: float, n_max: int = 50) -> list[tuple[int, float, float]]:
+    """(n, W_p(escaping_mixture(n, p), delta_0), |W_p - n|) for n = 1..n_max."""
     origin = dirac([0.0])
-
     rows = []
-    max_err = 0.0
-    for n in range(1, min(50, cfg.n_max) + 1):
+    for n in range(1, n_max + 1):
         w = wasserstein_exact(escaping_mixture(n, p), origin, p).value
-        err = abs(w - n)
-        max_err = max(max_err, err)
-        rows.append([n, float(w), float(err)])
-    report.tables["distances"] = {"columns": ["n", "wp", "abs_err"], "rows": rows}
-    distances_ok = max_err <= 1e-9
+        rows.append((n, w, abs(w - n)))
+    return rows
+
+
+def escaping_sphere_cuts(p: float, sigma: float) -> tuple[float, dict]:
+    """(smallest pairwise cut distance, verdict run at eps = half of it) of the
+    compactness diagnostic on the escaping family's geodesic cuts at sigma."""
+    origin = dirac([0.0])
 
     # the diagnostic needs every element strictly beyond sigma, so the
     # escaping family is probed from index 3 upward
     def seq(k: int) -> DiscreteMeasure:
         return escaping_mixture(k + 2, p)
 
-    probe = cs_diagnostic(seq, sigma=1.0, omega0=origin, N=60, eps=0.0, K=5, p=p)
+    probe = cs_diagnostic(seq, sigma, origin, N=60, eps=0.0, K=5, p=p)
     min_gap = probe["min_offdiag"]
-    verdict = cs_diagnostic(seq, sigma=1.0, omega0=origin, N=60,
-                            eps=min_gap / 2.0, K=5, p=p)
+    return min_gap, cs_diagnostic(seq, sigma, origin, N=60, eps=min_gap / 2.0, K=5, p=p)
+
+
+def _vanishing_mixture() -> DiscreteMeasure:
+    return validate_measure([[1.0], [-2.0]], [0.5, 0.5])
+
+
+def _u_n(omega: DiscreteMeasure, n: int) -> float:
+    """Distance field of the escaping family; the family is tied to p = 2."""
+    return wasserstein_exact(omega, escaping_mixture(n, 2.0), 2.0).value - n
+
+
+@dataclass(frozen=True)
+class VanishingDecay:
+    delta1: list            # (n, u_n(delta_1), sqrt(n^2 - 1) - n) for n = 1..100
+    delta1_max_err: float
+    mix: dict               # n -> u_n at the two-atom mixture
+    envelope_ns: range      # indices the 1/n envelope was checked on
+    envelope_constant: float
+    envelope_ok: bool
+
+    @property
+    def delta1_ok(self) -> bool:
+        return self.delta1_max_err <= CLOSED_FORM_TOL
+
+
+def vanishing_decay(n_cap: int = 200) -> VanishingDecay:
+    """The escaping family's distance fields u_n vanish at rate 1/n.
+
+    At delta_1, u_n is compared with its closed form for n <= 100. At the
+    mixture 1/2 delta_1 + 1/2 delta_{-2}, |u_n| must be non-increasing and
+    under C/n for n = 10..max(n_cap, 11), where C is calibrated at n = 10.
+    """
+    delta1, mix = dirac([1.0]), _vanishing_mixture()
+    rows = [(n, _u_n(delta1, n), math.sqrt(n * n - 1.0) - n) for n in range(1, 101)]
+    n_hi = max(n_cap, ENVELOPE_N0 + 1)
+    at_mix = {n: _u_n(mix, n) for n in range(1, max(n_hi, 100) + 1)}
+    # headroom factor 2: n |u_n| increases toward its limit, so the raw n0
+    # calibration is not an envelope of the tail
+    env_c = 2.0 * ENVELOPE_N0 * abs(at_mix[ENVELOPE_N0])
+    ns = range(ENVELOPE_N0, n_hi + 1)
+    envelope_ok = all(abs(at_mix[n]) <= env_c / n for n in ns) and all(
+        abs(at_mix[n]) <= abs(at_mix[n - 1]) + 1e-12 for n in ns[1:])
+    return VanishingDecay(rows, max(abs(u - c) for _, u, c in rows), at_mix, ns,
+                          env_c, envelope_ok)
+
+
+def flat_limit_sphere(seed) -> tuple[SphereTestResult, bool]:
+    """Sphere test of the u_n's flat limit at the mixture, and whether it FAILs
+    with a calibration gap of at least 0.9 r at every radius r, as expected."""
+    res = viscosity_sphere_test(ConstantField(0.0, 2.0), _vanishing_mixture(),
+                                radii=(1.0, 0.5, 0.1), eps=1e-3, budget=10, rng=seed)
+    gaps_ok = all(rp.best_gap >= 0.9 * rp.radius for rp in res.radii)
+    return res, res.verdict == FAIL and gaps_ok
+
+
+# ---------------------------------------------------------------------------
+# ex5: exact escaping distances, failed compactness diagnostic
+# ---------------------------------------------------------------------------
+
+def _run_ex5(cfg: ScenarioConfig) -> Report:
+    report = Report("ex5", stamp=_stamp(cfg))
+    rows = escaping_distances(cfg.p, min(50, cfg.n_max))
+    report.tables["distances"] = {"columns": ["n", "wp", "abs_err"],
+                                  "rows": [[n, float(w), float(err)] for n, w, err in rows]}
+    max_err = max((err for *_, err in rows), default=0.0)
+    distances_ok = max_err <= DISTANCE_TOL
+
+    min_gap, verdict = escaping_sphere_cuts(cfg.p, 1.0)
     mat = np.asarray(verdict["matrix"])
     report.tables["sphere_matrix"] = {
         "columns": [f"d{j}" for j in range(mat.shape[1])],
@@ -237,69 +328,37 @@ def _run_ex5(cfg: ScenarioConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _run_ex3(cfg: ScenarioConfig) -> Report:
+    if cfg.p != 2.0:
+        raise DomainError(f"ex3 is defined at p = 2 only, got p = {cfg.p:g}")
     report = Report("ex3", stamp=_stamp(cfg))
-    p = 2.0  # the family is tied to the quadratic exponent
-    delta1 = dirac([1.0])
-    mix = validate_measure([[1.0], [-2.0]], [0.5, 0.5])
-
-    def u_n(omega: DiscreteMeasure, n: int) -> float:
-        return wasserstein_exact(omega, escaping_mixture(n, p), p).value - n
-
-    rows = []
-    max_err_delta1 = 0.0
-    for n in range(1, 101):
-        val = u_n(delta1, n)
-        closed = math.sqrt(n * n - 1.0) - n
-        max_err_delta1 = max(max_err_delta1, abs(val - closed))
-        if n % 10 == 0 or n == 1:
-            rows.append([n, float(val), float(closed), float(u_n(mix, n))])
+    decay = vanishing_decay(min(cfg.n_max, 200))
     report.tables["decay"] = {
         "columns": ["n", "u_n_at_delta1", "closed_form", "u_n_at_mix"],
-        "rows": rows,
+        "rows": [[n, float(u), float(closed), float(decay.mix[n])]
+                 for n, u, closed in decay.delta1 if n % 10 == 0 or n == 1],
     }
-    delta1_ok = max_err_delta1 <= 1e-10
 
     # the same family as a distance-limit probe: the trace converges to 0
-    seq = MeasureSetSequence(lambda n: [escaping_mixture(n, p)], lambda n: float(n))
-    dlc_value, dlc_converged, dlc_samples = dlc_limit(seq, delta1, p, tol=cfg.tol,
+    seq = MeasureSetSequence(lambda n: [escaping_mixture(n, 2.0)], lambda n: float(n))
+    dlc_value, dlc_converged, dlc_samples = dlc_limit(seq, dirac([1.0]), 2.0, tol=cfg.tol,
                                                       n_max=max(cfg.n_max, 64))
     report.tables["dlc_trace"] = {
         "columns": ["n", "a_n"],
         "rows": [[n, float(a)] for n, a in dlc_samples],
     }
 
-    # envelope constant calibrated at n=10 with factor-2 headroom: the scaled
-    # sequence n |u_n| still creeps upward toward its limit
-    n0 = 10
-    env_c = 2.0 * n0 * abs(u_n(mix, n0))
-    envelope_ok = True
-    prev = math.inf
-    n_hi = max(min(cfg.n_max, 200), n0 + 1)
-    mix_values = {}
-    for n in range(n0, n_hi + 1):
-        v = abs(u_n(mix, n))
-        mix_values[n] = v
-        if v > env_c / n or v > prev + 1e-12:
-            envelope_ok = False
-            break
-        prev = v
-
     # log-log fit of |u_n(mix)|: the decay exponent should sit near -1
-    ns = np.array(sorted(mix_values))
-    decay_slope = float(np.polyfit(np.log(ns), np.log([mix_values[n] for n in ns]), 1)[0])
+    ns = np.array(decay.envelope_ns)
+    decay_slope = float(np.polyfit(np.log(ns), np.log([abs(decay.mix[n]) for n in ns]), 1)[0])
     decay_ok = abs(decay_slope + 1.0) <= 0.1
 
-    sphere = viscosity_sphere_test(ConstantField(0.0, p), mix,
-                                   radii=(1.0, 0.5, 0.1), eps=1e-3,
-                                   budget=10, rng=cfg.seed)
-    gaps_ok = all(rp.best_gap >= 0.9 * rp.radius for rp in sphere.radii)
-    sphere_ok = sphere.verdict == FAIL and gaps_ok
+    sphere, sphere_ok = flat_limit_sphere(cfg.seed)
 
     report.verdicts = {
-        "delta1_closed_form_ok": bool(delta1_ok),
-        "delta1_max_err": float(max_err_delta1),
-        "envelope_ok": bool(envelope_ok),
-        "envelope_constant": float(env_c),
+        "delta1_closed_form_ok": bool(decay.delta1_ok),
+        "delta1_max_err": float(decay.delta1_max_err),
+        "envelope_ok": bool(decay.envelope_ok),
+        "envelope_constant": float(decay.envelope_constant),
         "decay_slope": decay_slope,
         "decay_fit_ok": bool(decay_ok),
         "dlc_value": float(dlc_value),
@@ -308,7 +367,8 @@ def _run_ex3(cfg: ScenarioConfig) -> Report:
         "limit_sphere_expected": FAIL,
         "limit_sphere_gaps": [float(rp.best_gap) for rp in sphere.radii],
     }
-    report.expected_ok = bool(delta1_ok and envelope_ok and decay_ok and sphere_ok)
+    report.expected_ok = bool(decay.delta1_ok and decay.envelope_ok and decay_ok
+                              and sphere_ok)
     return report
 
 
@@ -394,25 +454,10 @@ def _run_lift_demo(cfg: ScenarioConfig) -> Report:
     return report
 
 
-def _run_acceptance(cfg: ScenarioConfig) -> Report:
-    from .acceptance import run_all
-
-    report = Report("acceptance", stamp=_stamp(cfg))
-    results = run_all()
-    report.tables["criteria"] = {
-        "columns": ["criterion", "status", "detail"],
-        "rows": [[name, PASS if ok else FAIL, detail] for name, ok, detail in results],
-    }
-    report.verdicts = {name: bool(ok) for name, ok, _ in results}
-    report.expected_ok = all(ok for _, ok, _ in results)
-    return report
-
-
 _RUNNERS = {
     "ex5": _run_ex5,
     "ex3": _run_ex3,
     "lift-demo": _run_lift_demo,
-    "acceptance": _run_acceptance,
 }
 
 

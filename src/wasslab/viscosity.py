@@ -105,10 +105,10 @@ class DistanceToField(MeasureField):
 
     def descent_candidate(self, omega, t):
         # the geodesic toward the target calibrates exactly, but only up to it
-        gap = wasserstein_exact(omega, self.target, self.p).value
-        if t >= gap - 1e-9:
+        path = displacement_path(omega, self.target, self.p)
+        if t >= path.length - 1e-9:
             return None
-        return displacement_path(omega, self.target, self.p).eval(t)
+        return path.eval(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +199,6 @@ def lift(u: ScalarField, p: float = 2.0) -> LiftedField:
     return LiftedField(u, p)
 
 
-def eval_field(U: MeasureField, omega: DiscreteMeasure) -> float:
-    """Evaluate a measure field at a measure."""
-    return U.evaluate(omega)
-
-
 def inf_of_fields(fields: Sequence[MeasureField]) -> MeasureField:
     """Pointwise minimum; singletons pass through unchanged."""
     fields = list(fields)
@@ -257,14 +252,13 @@ class SlopeEstimate:
     skipped_radii: tuple[float, ...] = ()
 
 
-def _candidates_at_radius(U, omega, r, budget, rng, tag_analytic=True):
+def _candidates_at_radius(U, omega, r, budget, rng):
     """(measure, certified distance) candidates at radius r, analytic first."""
     cands: list[tuple[DiscreteMeasure, float]] = []
-    if tag_analytic:
-        analytic = U.descent_candidate(omega, r)
-        if analytic is not None:
-            cert = wasserstein_exact(omega, analytic, U.p).value
-            cands.append((analytic, cert))
+    analytic = U.descent_candidate(omega, r)
+    if analytic is not None:
+        cert = wasserstein_exact(omega, analytic, U.p).value
+        cands.append((analytic, cert))
     try:
         cands.extend(sphere_sample(omega, r, U.p, budget=budget, rng=rng))
     except SphereSamplingFailed:

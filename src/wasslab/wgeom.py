@@ -105,11 +105,6 @@ def displacement_path(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0,
     return path
 
 
-def path_eval(path: WassersteinPath, t: float) -> DiscreteMeasure:
-    """Measure at arc length t along the path."""
-    return path.eval(t)
-
-
 @dataclass(frozen=True, eq=False)
 class WassersteinRay:
     """Unit-speed ray t -> sum_i w_i delta_{gamma_i(t)}.
@@ -148,16 +143,14 @@ class WassersteinRay:
         return cls(omega, rays, p)
 
 
-def wasserstein_ray(base: DiscreteMeasure, rays, p: float = 2.0,
-                    verify: bool = True) -> WassersteinRay:
+def wasserstein_ray(base: DiscreteMeasure, rays, p: float = 2.0) -> WassersteinRay:
     """Assemble a ray from explicit per-atom rays, solver-certifying unit speed."""
     ray = WassersteinRay(base, tuple(rays), p)
-    if verify:
-        start = ray.eval(0.0)
-        for t in (1.0, 10.0):
-            d = wasserstein_exact(start, ray.eval(t), p).value
-            if abs(d - t) > 1e-8:
-                raise InvalidRay(f"span {d} at t={t} is not unit speed (gap {abs(d - t):.3e})")
+    start = ray.eval(0.0)
+    for t in (1.0, 10.0):
+        d = wasserstein_exact(start, ray.eval(t), p).value
+        if abs(d - t) > 1e-8:
+            raise InvalidRay(f"span {d} at t={t} is not unit speed (gap {abs(d - t):.3e})")
     return ray
 
 
@@ -269,10 +262,10 @@ def _path_candidate(omega, r, p, rng, dictionary):
         shift = 2.0 * r * _random_unit(rng, omega.dim)
         pts = omega.support + shift + rng.normal(scale=max(r, 0.5), size=omega.support.shape)
         target = validate_measure(pts, omega.weights)
-    d = wasserstein_exact(omega, target, p).value
-    if d <= r:
+    path = displacement_path(omega, target, p)
+    if path.length <= r:
         return None
-    cand = displacement_path(omega, target, p).eval(r)
+    cand = path.eval(r)
     cert = wasserstein_exact(omega, cand, p).value
     if SPHERE_BAND[0] * r <= cert <= SPHERE_BAND[1] * r:
         return cand, cert
@@ -347,13 +340,12 @@ def cs_diagnostic(seq, sigma: float, omega0: DiscreteMeasure, N: int,
         raise DomainError(f"need N >= K >= 2, got N={N}, K={K}")
     points = []
     for n in range(1, N + 1):
-        target = seq(n)
-        dist = wasserstein_exact(omega0, target, p).value
-        if dist <= sigma:
+        path = displacement_path(omega0, seq(n), p)
+        if path.length <= sigma:
             raise SequenceTooClose(
-                f"element {n} is at distance {dist} <= sigma={sigma} from the base point"
+                f"element {n} is at distance {path.length} <= sigma={sigma} from the base point"
             )
-        points.append(displacement_path(omega0, target, p).eval(sigma))
+        points.append(path.eval(sigma))
     mat = np.zeros((N, N))
     for i in range(N):
         for j in range(i + 1, N):

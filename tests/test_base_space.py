@@ -9,10 +9,7 @@ from wasslab.base_space import (
     MinField,
     base_field_from_config,
     base_geodesic_eval,
-    base_negative_gradient_ray,
-    eval_base_field,
     min_combine,
-    ray_eval,
 )
 from wasslab.errors import DimensionError, DomainError, EmptyCollection, UnsupportedField
 
@@ -49,12 +46,12 @@ def test_geodesic_errors():
 
 def test_ray_eval_examples():
     r = BaseRay(np.zeros(2), np.array([1.0, 0.0]))
-    assert np.allclose(ray_eval(r, 5.0), [5.0, 0.0])
-    assert np.allclose(ray_eval(r, 0.0), [0.0, 0.0])
+    assert np.allclose(r.eval(5.0), [5.0, 0.0])
+    assert np.allclose(r.eval(0.0), [0.0, 0.0])
     r2 = BaseRay(np.array([1.0]), np.array([-1.0]), speed=2.0)
-    assert np.allclose(ray_eval(r2, 3.0), [-5.0])
+    assert np.allclose(r2.eval(3.0), [-5.0])
     with pytest.raises(DomainError):
-        ray_eval(r, -0.1)
+        r.eval(-0.1)
 
 
 def test_ray_direction_renormalized_or_rejected():
@@ -80,10 +77,10 @@ def test_ray_additivity_invariant():
 
 def test_eval_field_examples():
     b = BusemannField(np.array([1.0, 0.0]), 0.0)
-    assert eval_base_field(b, [3.0, 4.0]) == -3.0
+    assert b.evaluate([3.0, 4.0]) == -3.0
     m = MinField((BusemannField(np.array([1.0])), BusemannField(np.array([-1.0]))))
-    assert eval_base_field(m, [2.0]) == -2.0
-    assert eval_base_field(BusemannField(np.array([0.0, 1.0]), 7.0), [0.0, 0.0]) == 7.0
+    assert m.evaluate([2.0]) == -2.0
+    assert BusemannField(np.array([0.0, 1.0]), 7.0).evaluate([0.0, 0.0]) == 7.0
 
 
 def test_busemann_exact_lipschitz():
@@ -96,16 +93,16 @@ def test_busemann_exact_lipschitz():
 
 def test_negative_gradient_ray_examples():
     b = BusemannField(np.array([1.0, 0.0]), 0.0)
-    ray = base_negative_gradient_ray(b, [0.0, 0.0])
+    ray = b.negative_gradient_ray([0.0, 0.0])
     assert np.allclose(ray.origin, [0.0, 0.0]) and np.allclose(ray.direction, [1.0, 0.0])
 
     m = MinField((BusemannField(np.array([1.0])), BusemannField(np.array([-1.0]), 5.0)))
-    ray = base_negative_gradient_ray(m, [0.0])
+    ray = m.negative_gradient_ray([0.0])
     assert np.allclose(ray.direction, [1.0])
 
     # tie at the min locus goes to the lowest index
     tie = MinField((BusemannField(np.array([1.0])), BusemannField(np.array([-1.0]))))
-    ray = base_negative_gradient_ray(tie, [0.0])
+    ray = tie.negative_gradient_ray([0.0])
     assert np.allclose(ray.direction, [1.0])
 
 
@@ -121,7 +118,7 @@ def test_descent_ray_calibration(T):
     for u in fields:
         for _ in range(10):
             x = rng.uniform(-4, 4, 2)
-            ray = base_negative_gradient_ray(u, x)
+            ray = u.negative_gradient_ray(x)
             assert abs((u.evaluate(ray.eval(0.0)) - u.evaluate(ray.eval(T))) - T) <= 1e-10
 
 

@@ -10,7 +10,6 @@ from wasslab.discrete_measure import (
     p_moment,
     push_forward,
     random_measure,
-    translate,
     validate_measure,
 )
 from wasslab.errors import (
@@ -87,7 +86,7 @@ def test_p_moment_translation_covariance():
         v = rng.uniform(-4, 4, 3)
         x0 = rng.uniform(-4, 4, 3)
         p = float(rng.uniform(1, 3))
-        assert abs(p_moment(translate(m, v), p, x0 + v) - p_moment(m, p, x0)) <= 1e-10
+        assert abs(p_moment(m.translate(v), p, x0 + v) - p_moment(m, p, x0)) <= 1e-10
 
 
 def test_push_forward_examples():

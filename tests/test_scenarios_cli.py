@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wasslab.acceptance import run_all
 from wasslab.cli import main
 from wasslab.errors import InvalidMeasure, ParseError
 from wasslab.scenarios import (
@@ -197,3 +198,66 @@ def test_report_json_shape(tmp_path):
     paths = emit_report(report, tmp_path)
     doc = json.loads(paths[0].read_text())
     assert set(doc) == {"scenario", "verdicts", "stamp", "expected_ok", "tables"}
+
+
+def _malformed_inputs(tmp_path):
+    measures = _write_measures(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    no_field = tmp_path / "no_field.json"
+    no_field.write_text(json.dumps({"omega": {"support": [[0.0]], "weights": [1.0]}}))
+    return {
+        "busemann-bad-json": ["busemann", str(bad)],
+        "busemann-missing-file": ["busemann", str(tmp_path / "missing.json")],
+        "check-viscosity-no-field": ["check-viscosity", str(no_field)],
+        "wp-j-too-large": ["wp", str(measures), "--j", "5"],
+        "wp-i-negative": ["wp", str(measures), "--i", "-1"],
+        "geodesic-i-too-large": ["geodesic", str(measures), "--i", "9"],
+        "reproduce-ex3-p3": ["reproduce", "ex3", "--p", "3"],
+        "acceptance-no-match": ["acceptance", "--only", "no-such-criterion"],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "busemann-bad-json", "busemann-missing-file", "check-viscosity-no-field",
+    "wp-j-too-large", "wp-i-negative", "geodesic-i-too-large", "reproduce-ex3-p3",
+    "acceptance-no-match",
+])
+def test_cli_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    assert main(_malformed_inputs(tmp_path)[case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["wp", "m.json", "--seed", "1"],
+    ["geodesic", "m.json", "--tol", "1e-3"],
+    ["busemann", "c.json", "--seed", "1"],
+    ["slope", "c.json", "--out", "d"],
+    ["check-viscosity", "c.json", "--n-max", "5"],
+    ["acceptance", "--p", "3"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+def test_cli_rejects_flags_a_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_acceptance_report(tmp_path, capsys):
+    out_dir = tmp_path / "acc"
+    assert main(["acceptance", "--only", "C03", "C06", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out_dir / "report.json").read_text())
+    assert set(doc) == {"scenario", "verdicts", "stamp", "expected_ok", "tables"}
+    assert doc["scenario"] == "acceptance" and doc["tables"] == ["criteria"]
+    assert doc["verdicts"] == {"C03-escaping-distances": True,
+                               "C06-flat-limit-sphere": True}
+    assert doc["expected_ok"] is True
+
+    # cells are written unquoted, so a detail holding commas spans columns
+    lines = (out_dir / "acceptance_criteria.csv").read_text().splitlines()
+    assert lines[0] == "criterion,status,detail"
+    assert lines[1:] == [f"{name},{'PASS' if ok else 'FAIL'},{detail}"
+                         for name, ok, detail in run_all(["C03", "C06"])]

@@ -25,7 +25,6 @@ from wasslab.viscosity import (
     DlcLimitField,
     RayBusemannField,
     dlg_test,
-    eval_field,
     global_slope_estimate,
     greedy_descent,
     inf_of_fields,
@@ -51,11 +50,11 @@ def _mix(*pairs):
 
 def test_lift_examples():
     omega = _mix((0.0, 0.25), (1.0, 0.75))
-    assert eval_field(lift(CustomField(lambda x: 4.5, dim=1, lipschitz=0.0), 2.0), omega) == 4.5
+    assert lift(CustomField(lambda x: 4.5, dim=1, lipschitz=0.0), 2.0).evaluate(omega) == 4.5
     U = lift(BusemannField(E1), 2.0)
-    assert eval_field(U, dirac([3.0, 1.0])) == -3.0
+    assert U.evaluate(dirac([3.0, 1.0])) == -3.0
     omega2 = validate_measure([[2.0, 0.0], [-4.0, 0.0]], [0.5, 0.5])
-    assert eval_field(U, omega2) == pytest.approx(1.0, abs=1e-15)
+    assert U.evaluate(omega2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_lift_requires_unit_lipschitz():
@@ -64,14 +63,13 @@ def test_lift_requires_unit_lipschitz():
 
 
 def test_eval_field_variants():
-    assert eval_field(DistanceToField(dirac([0.0]), 0.0, 2.0), dirac([3.0])) == 3.0
-    assert eval_field(inf_of_fields([ConstantField(5.0), ConstantField(2.0)]),
-                      dirac([0.0])) == 2.0
+    assert DistanceToField(dirac([0.0]), 0.0, 2.0).evaluate(dirac([3.0])) == 3.0
+    assert inf_of_fields([ConstantField(5.0), ConstantField(2.0)]).evaluate(dirac([0.0])) == 2.0
     # distance field of the escaping family at n=10, evaluated at delta_1
     from wasslab.scenarios import escaping_mixture
 
     u10 = DistanceToField(escaping_mixture(10, 2.0), 10.0, 2.0)
-    assert eval_field(u10, dirac([1.0])) == pytest.approx(math.sqrt(99.0) - 10.0, abs=1e-12)
+    assert u10.evaluate(dirac([1.0])) == pytest.approx(math.sqrt(99.0) - 10.0, abs=1e-12)
 
 
 def test_lipschitz_probe_basics():

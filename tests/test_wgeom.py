@@ -27,7 +27,6 @@ from wasslab.wgeom import (
     dirac_ray,
     displacement_path,
     dlc_limit,
-    path_eval,
     sphere_sample,
     wasserstein_ray,
 )
@@ -293,6 +292,6 @@ def test_dlc_limit_errors():
         dlc_limit(seq, omega, 2.0, n_max=1)
 
 
-def test_path_eval_wrapper():
+def test_path_eval_at_arc_length():
     path = displacement_path(dirac([0.0]), dirac([4.0]), 2.0)
-    assert path_eval(path, 1.0).support[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert path.eval(1.0).support[0, 0] == pytest.approx(1.0, abs=1e-12)
