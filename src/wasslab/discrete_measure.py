@@ -20,6 +20,7 @@ from .errors import (
     InvalidWeight,
     MapRangeError,
     NotNormalized,
+    ParseError,
 )
 
 MERGE_TOL = 1e-12    # support points closer than this are one atom
@@ -66,14 +67,18 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DiscreteMeasure":
-        support = np.asarray(obj["support"], dtype=float)
+        try:
+            support, weights = obj["support"], obj["weights"]
+        except KeyError as exc:
+            raise ParseError(f"measure is missing the {exc.args[0]!r} entry") from exc
+        support = np.asarray(support, dtype=float)
         if support.ndim == 1:
             support = support.reshape(-1, 1)
         if "dim" in obj and support.shape[1] != int(obj["dim"]):
             raise DimensionError(
                 f"declared dim {obj['dim']} does not match support dim {support.shape[1]}"
             )
-        return validate_measure(support, np.asarray(obj["weights"], dtype=float))
+        return validate_measure(support, np.asarray(weights, dtype=float))
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n={self.n_atoms}, dim={self.dim})"

@@ -1,11 +1,31 @@
 """Exact p-Wasserstein distances and optimal couplings for discrete measures.
 
-`wasserstein_exact` runs a transportation simplex (northwest-corner start,
-dual "MODI" reduced costs, Bland's anti-cycling pivot rule) and returns an
-optimal vertex of the coupling polytope. Two independent routes check it:
-`wasserstein_1d_oracle` builds the monotone quantile coupling on the line,
-which is optimal for every convex cost |x-y|^p with p >= 1, and
-`brute_force_oracle` enumerates polytope vertices outright on tiny instances.
+`wasserstein_exact` runs a network simplex on the transportation problem
+and returns an optimal vertex of the coupling polytope. The basis is a
+spanning tree over the n source rows and m target columns, rooted at row 0
+and held as parent, depth and parent-edge flow arrays plus an adjacency
+list updated in place. It starts from the northwest corner, which is
+already optimal on the line because supports are stored sorted. Pricing
+is Dantzig's: the cell of most negative reduced cost C_ij - u_i - v_j
+enters. Its cycle is found by walking both ends up to their common
+ancestor, and after the pivot only the subtree that re-hangs on the
+entering cell has its depths and potentials updated. A pivot that would
+move no mass is degenerate. Every degenerate pivot follows Bland's rule
+(Bland 1977: lowest-index entering and leaving cells), and a cycle of
+pivots would consist of degenerate pivots only, so the simplex cannot
+cycle; Cunningham (1976) gives the other classical guard, strongly
+feasible trees. The method is the network simplex behind the `emd` solver
+of Bonneel, van de Panne, Paris and Heidrich (SIGGRAPH Asia 2011).
+
+The flows are re-solved on the final tree from the original marginals, and
+the tree's potentials (u, v) must certify the plan: u_i + v_j <= C_ij on
+every cell and a.u + b.v equal to the plan's cost, both on the unit-scaled
+cost matrix. A failed certificate raises `NumericalInconsistency`.
+
+Two independent routes check the simplex: `wasserstein_1d_oracle` builds
+the monotone quantile coupling on the line, which is optimal for every
+convex cost |x-y|^p with p >= 1, and `brute_force_oracle` enumerates
+polytope vertices outright on tiny instances.
 
 Costs are |x-y|^p in double precision; the p-th root is taken once on the
 final optimal cost. Values below 1e-12 are clamped to zero to stay aligned
@@ -15,12 +35,11 @@ with the atom-merge tolerance of `discrete_measure`.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_measure import DiscreteMeasure
+from .discrete_measure import PRUNE_TOL, DiscreteMeasure
 from .errors import (
     DimensionError,
     DomainError,
@@ -33,8 +52,8 @@ DIST_CLAMP = 1e-12       # pair distances below this count as zero
 VALUE_CLAMP = 1e-12      # returned distances below this are exactly zero
 MARGINAL_TOL = 1e-10     # coupling marginals must match this tightly
 _ENTER_TOL = 1e-11       # reduced-cost threshold on the unit-scaled cost matrix
-_DEGENERACY_TOL = 1e-12  # prefix-sum coincidence that triggers perturbation
-_PERTURB = 1e-13         # per-row marginal perturbation unit
+_DEGENERATE_MASS = 1e-14  # a pivot moving no more mass than this is degenerate
+_CERT_TOL = 1e-9         # dual slack and duality gap allowed on the unit-scaled cost
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,24 +156,10 @@ def _finish(mu, nu, p, rows, cols, masses, cost, solver) -> TransportResult:
 # transportation simplex
 # ---------------------------------------------------------------------------
 
-def _perturbed_marginals(a: np.ndarray, b: np.ndarray):
-    """Break prefix-sum ties that would make the northwest start degenerate."""
-    ca, cb = np.cumsum(a)[:-1], np.cumsum(b)[:-1]
-    if ca.size == 0 or cb.size == 0:
-        return a, b
-    if np.min(np.abs(ca[:, None] - cb[None, :])) > _DEGENERACY_TOL:
-        return a, b
-    bump = _PERTURB * np.arange(1, a.shape[0] + 1)
-    a2 = a + bump
-    b2 = b.copy()
-    b2[-1] += bump.sum()
-    return a2, b2
-
-
 def _northwest(a: np.ndarray, b: np.ndarray):
     """Northwest-corner start: n+m-1 basis cells with their allocations."""
     n, m = a.shape[0], b.shape[0]
-    ra, rb = a.astype(float).copy(), b.astype(float).copy()
+    ra, rb = a.tolist(), b.tolist()
     cells: list[tuple[int, int]] = []
     flows: list[float] = []
     i = j = 0
@@ -174,103 +179,106 @@ def _northwest(a: np.ndarray, b: np.ndarray):
             j += 1
         else:
             i += 1
-    return cells, np.array(flows)
+    return cells, flows
 
 
-def _potentials(cells, C: np.ndarray, n: int, m: int):
-    """Dual variables with u[0]=0 solved over the basis tree."""
-    adj: list[list[int]] = [[] for _ in range(n + m)]
+def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Optimal basis tree and its potentials (u, v) by the network simplex.
+
+    Nodes are the rows 0..n-1 and the columns n..n+m-1; the basis is a
+    spanning tree rooted at row 0, held as `parent`, `depth`, the flow on
+    each node's parent edge and an adjacency list updated in place.
+    """
+    n, m = C.shape
+    N = n + m
+    cells, flows = _northwest(a, b)
+    adj: list[list[int]] = [[] for _ in range(N)]
     for i, j in cells:
         adj[i].append(n + j)
         adj[n + j].append(i)
-    u = np.empty(n)
-    v = np.empty(m)
-    seen = np.zeros(n + m, dtype=bool)
-    u[0] = 0.0
-    seen[0] = True
+    parent = [-1] * N
+    depth = [0] * N
+    flow = [0.0] * N           # mass on the cell joining x to parent[x]
+    pot = np.zeros(N)          # u = pot[:n], v = pot[n:]; u_i + v_j = C_ij on the tree
+    u, v = pot[:n], pot[n:]
     stack = [0]
     while stack:
-        node = stack.pop()
-        for nb in adj[node]:
-            if seen[nb]:
-                continue
-            seen[nb] = True
-            if node < n:
-                v[nb - n] = C[node, nb - n] - u[node]
+        x = stack.pop()
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                pot[y] = (C[x, y - n] if x < n else C[y, x - n]) - pot[x]
+                stack.append(y)
+    for (i, j), f in zip(cells, flows):
+        flow[i if parent[i] == n + j else n + j] = f
+
+    def cell_index(x: int) -> int:  # Bland's order of the cell above node x
+        return x * m + parent[x] - n if x < n else parent[x] * m + x - n
+
+    def cycle(k: int):
+        """Child ends of the cycle's tree edges that lose mass, and those that gain.
+
+        Pushing mass along the entering cell (i, j) takes it off the parent
+        edges of the rows on i's side of the common ancestor and of the
+        columns on j's side, and adds it to the others.
+        """
+        x, y = divmod(k, m)
+        y += n
+        down: list[int] = []
+        up: list[int] = []
+        while x != y:
+            if depth[x] >= depth[y]:
+                (down if x < n else up).append(x)
+                x = parent[x]
             else:
-                u[nb] = C[nb, node - n] - v[node - n]
-            stack.append(nb)
-    if not seen.all():
-        raise NumericalInconsistency("basis does not span the bipartite graph")
-    return u, v
+                (down if y >= n else up).append(y)
+                y = parent[y]
+        theta = min(flow[z] for z in down)
+        return down, up, theta
 
-
-def _tree_path(cells, n: int, start: int, goal: int) -> list[int]:
-    adj: dict[int, list[int]] = {}
-    for i, j in cells:
-        adj.setdefault(i, []).append(n + j)
-        adj.setdefault(n + j, []).append(i)
-    parent = {start: -1}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for nb in adj[node]:
-            if nb not in parent:
-                parent[nb] = node
-                queue.append(nb)
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
-    """Optimal basis tree via the transportation simplex with Bland's rule."""
-    n, m = C.shape
-    cells, flows = _northwest(a, b)
-    flow_of = {cell: k for k, cell in enumerate(cells)}
-    basic = np.zeros((n, m), dtype=bool)
-    for i, j in cells:
-        basic[i, j] = True
-    cap = 10 * (n + m) ** 2
+    cap = 10 * N ** 2
     for _ in range(cap):
-        u, v = _potentials(cells, C, n, m)
         R = C - u[:, None] - v[None, :]
-        R[basic] = 0.0
-        negative = np.flatnonzero(R.ravel() < -_ENTER_TOL)
-        if negative.size == 0:
-            return cells
-        ei, ej = divmod(int(negative[0]), m)
-
-        path = _tree_path(cells, n, ei, n + ej)
-        cycle: list[tuple[tuple[int, int], int]] = []
-        for t in range(len(path) - 1):
-            x, y = path[t], path[t + 1]
-            cell = (x, y - n) if x < n else (y, x - n)
-            cycle.append((cell, -1 if t % 2 == 0 else 1))
-
-        theta = min(flows[flow_of[c]] for c, s in cycle if s < 0)
-        leaving = min(c for c, s in cycle if s < 0 and flows[flow_of[c]] <= theta)
-        theta = max(theta, 0.0)
-
-        for c, s in cycle:
-            flows[flow_of[c]] += s * theta
-        k = flow_of.pop(leaving)
-        basic[leaving] = False
-        last_cell = cells[-1]
-        cells[k] = cells[-1]
-        flows[k] = flows[-1]
-        if last_cell != leaving:
-            flow_of[last_cell] = k
-        cells.pop()
-        flows = flows[:-1]
-        cells.append((ei, ej))
-        flows = np.append(flows, theta)
-        flow_of[(ei, ej)] = len(cells) - 1
-        basic[ei, ej] = True
+        k = int(R.argmin())
+        if not R.flat[k] < -_ENTER_TOL:   # also stops on a NaN cost (overflow)
+            tree = sorted((x, parent[x] - n) if x < n else (parent[x], x - n)
+                          for x in range(1, N))
+            return tree, u, v
+        down, up, theta = cycle(k)
+        if theta <= _DEGENERATE_MASS:
+            # every degenerate pivot follows Bland's rule, so none can cycle
+            k = int((R.ravel() < -_ENTER_TOL).argmax())
+            down, up, theta = cycle(k)
+        out = min((z for z in down if flow[z] == theta), key=cell_index)
+        for z in down:
+            flow[z] -= theta
+        for z in up:
+            flow[z] += theta
+        # cut the leaving edge above `out` and re-hang its subtree on the
+        # entering cell; s is the entering end inside the subtree, t the other
+        # (a losing row lies on i's side of the cycle, a losing column on j's)
+        i, j = divmod(k, m)
+        s, t = (i, n + j) if out < n else (n + j, i)
+        adj[out].remove(parent[out])
+        adj[parent[out]].remove(out)
+        adj[s].append(t)
+        adj[t].append(s)
+        x, px, fx = s, t, theta
+        while True:  # reverse the parent edges from s up to out
+            nxt, f = parent[x], flow[x]
+            parent[x], flow[x] = px, fx
+            if x == out:
+                break
+            x, px, fx = nxt, x, f
+        r = float(R.flat[k])
+        d = r if s < n else -r  # keeps u_i + v_j = C_ij inside, makes it hold on (i, j)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            depth[x] = depth[parent[x]] + 1
+            pot[x] += d if x < n else -d
+            stack.extend(y for y in adj[x] if y != parent[x])
     raise SolverStalled(f"simplex exceeded {cap} pivots on a {n}x{m} instance")
 
 
@@ -285,9 +293,9 @@ def _tree_flows(cells, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         deg[n + j] += 1
         incident[i].append(k)
         incident[n + j].append(k)
-    balance = np.concatenate([a, b]).astype(float)
+    balance = a.tolist() + b.tolist()
     used = [False] * len(cells)
-    flow = np.zeros(len(cells))
+    flow = [0.0] * len(cells)
     leaves = [x for x in range(V) if deg[x] == 1]
     while leaves:
         x = leaves.pop()
@@ -304,16 +312,30 @@ def _tree_flows(cells, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         deg[other] -= 1
         if deg[other] == 1:
             leaves.append(other)
-    return flow
+    return np.array(flow)
+
+
+def _certify(Cs, a, b, u, v, rows, cols, flow) -> None:
+    """Raise unless (u, v) prove the plan optimal for the unit-scaled cost Cs.
+
+    Dual feasibility (u_i + v_j <= Cs_ij on every cell) bounds every plan's
+    cost from below by a.u + b.v; a zero gap to the plan's cost closes it.
+    """
+    slack = float((Cs - u[:, None] - v[None, :]).min())
+    gap = abs(float(np.dot(a, u) + np.dot(b, v) - np.dot(flow, Cs[rows, cols])))
+    if slack < -_CERT_TOL or gap > _CERT_TOL:
+        raise NumericalInconsistency(
+            f"optimality certificate failed: dual slack {slack:.3e}, duality gap {gap:.3e}"
+        )
 
 
 def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0) -> TransportResult:
     """Exact W_p distance with an optimal vertex plan.
 
     Dirac-vs-anything instances short-circuit to the unique product
-    coupling. Degenerate marginals are perturbed for pivoting only; the
-    returned flows are re-solved on the optimal basis from the original
-    marginals, so the plan is exact for the problem as posed.
+    coupling. Otherwise the flows are re-solved on the optimal basis from
+    the marginals, so the plan is exact for the problem as posed, and the
+    basis potentials must certify it optimal (`NumericalInconsistency` if not).
     """
     _check_pair(mu, nu, p)
     n, m = mu.n_atoms, nu.n_atoms
@@ -330,19 +352,23 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0) 
                        mu.weights.copy(), cost, "simplex")
 
     a, b = mu.weights, nu.weights
-    a2, b2 = _perturbed_marginals(a, b)
     scale = float(C.max())
     Cs = C / scale if scale > 0.0 else C
-    cells = _simplex_basis(Cs, a2, b2)
+    cells, u, v = _simplex_basis(Cs, a, b)
     flow = _tree_flows(cells, a, b)
     if float(flow.min()) < -1e-9:
         raise NumericalInconsistency(
             f"basis re-solve produced flow {float(flow.min()):.3e} < 0"
         )
-    flow = np.maximum(flow, 0.0)
+    # masses below the weight resolution of a measure are round-off, such as a
+    # last-bit mismatch of the two weight totals carried along the tree
+    flow[flow < PRUNE_TOL] = 0.0
     idx = np.array(cells, dtype=int)
-    cost = float(np.dot(flow, C[idx[:, 0], idx[:, 1]]))
-    return _finish(mu, nu, p, idx[:, 0], idx[:, 1], flow, cost, "simplex")
+    rows, cols = idx[:, 0], idx[:, 1]
+    if np.isfinite(scale):  # an overflowed |x-y|^p has no certificate to check
+        _certify(Cs, a, b, u, v, rows, cols, flow)
+    cost = float(np.dot(flow, C[rows, cols]))
+    return _finish(mu, nu, p, rows, cols, flow, cost, "simplex")
 
 
 # ---------------------------------------------------------------------------

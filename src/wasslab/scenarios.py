@@ -153,6 +153,7 @@ def _fmt_cell(x) -> str:
 
 def emit_report(report: Report, out_dir) -> list[Path]:
     """Write report.json plus one CSV per table; byte-deterministic output."""
+    import csv  # here, so that importing the package does not load it
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -169,11 +170,11 @@ def emit_report(report: Report, out_dir) -> list[Path]:
         paths.append(path)
         for name in sorted(report.tables):
             table = report.tables[name]
-            lines = [",".join(table["columns"])]
-            for row in table["rows"]:
-                lines.append(",".join(_fmt_cell(x) for x in row))
             path = out / f"{report.scenario}_{name}.csv"
-            path.write_text("\n".join(lines) + "\n")
+            with path.open("w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(table["columns"])
+                writer.writerows([_fmt_cell(x) for x in row] for row in table["rows"])
             paths.append(path)
         return paths
     except OSError as exc:

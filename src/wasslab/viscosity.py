@@ -29,6 +29,7 @@ from .errors import (
     EmptyCollection,
     InvalidRay,
     NoUsablePairs,
+    ParseError,
     SphereSamplingFailed,
     UnsupportedField,
 )
@@ -612,16 +613,23 @@ def representation_check(U: MeasureField, omega: DiscreteMeasure,
 
 
 def measure_field_from_config(cfg: dict, default_p: float = 2.0) -> MeasureField:
-    """Build a measure field from its JSON description: {"kind": ..., ...}."""
+    """Build a measure field from its JSON description: {"kind": ..., ...}.
+
+    A description, or a nested base field, missing a required entry is a
+    `ParseError`.
+    """
     kind = cfg.get("kind")
     p = float(cfg.get("p", default_p))
-    if kind == "lifted":
-        return lift(base_field_from_config(cfg["base"]), p)
-    if kind == "distance_to":
-        target = DiscreteMeasure.from_json_dict(cfg["target"])
-        return DistanceToField(target, float(cfg.get("offset", 0.0)), p)
-    if kind == "constant":
-        return ConstantField(float(cfg["value"]), p)
-    if kind == "inf":
-        return inf_of_fields([measure_field_from_config(m, p) for m in cfg["members"]])
+    try:
+        if kind == "lifted":
+            return lift(base_field_from_config(cfg["base"]), p)
+        if kind == "distance_to":
+            target = DiscreteMeasure.from_json_dict(cfg["target"])
+            return DistanceToField(target, float(cfg.get("offset", 0.0)), p)
+        if kind == "constant":
+            return ConstantField(float(cfg["value"]), p)
+        if kind == "inf":
+            return inf_of_fields([measure_field_from_config(m, p) for m in cfg["members"]])
+    except KeyError as exc:
+        raise ParseError(f"{kind} field config is missing the {exc.args[0]!r} entry") from exc
     raise DomainError(f"unknown measure field kind {kind!r}")

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wasslab import ot_exact
 from wasslab.discrete_measure import dirac, random_measure, validate_measure
-from wasslab.errors import DimensionError, DomainError, InstanceTooLarge
+from wasslab.errors import DimensionError, DomainError, InstanceTooLarge, NumericalInconsistency
 from wasslab.ot_exact import (
     brute_force_oracle,
     wasserstein_1d_oracle,
@@ -204,3 +207,85 @@ def test_result_serialization_shape():
     assert doc["solver"] == "simplex"
     for entry in doc["plan"]:
         assert len(entry) == 3
+
+
+@st.composite
+def _uniform_grid_pair(draw):
+    """Uniform weights on integer grid points: ties in weights and costs."""
+    d = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        n = m = draw(st.integers(2, 7))  # permutation vertices
+    else:
+        # spanning-tree enumeration, kept to shapes it finishes in ~0.1 s:
+        # n + m <= 8, or a 2-atom side with n + m <= 10
+        n = draw(st.integers(2, 8))
+        m = draw(st.integers(2, 8 if n == 2 else max(2, 8 - n)))
+    point = st.tuples(*[st.integers(0, 7 if d == 1 else 3)] * d)
+    x = draw(st.lists(point, min_size=n, max_size=n, unique=True))
+    y = draw(st.lists(point, min_size=m, max_size=m, unique=True))
+    return (validate_measure(np.array(x, dtype=float), np.full(n, 1.0 / n)),
+            validate_measure(np.array(y, dtype=float), np.full(m, 1.0 / m)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_uniform_grid_pair())
+def test_degenerate_grids_match_enumeration(pair):
+    mu, nu = pair
+    for p in (1.0, 2.0, 3.0):
+        res = wasserstein_exact(mu, nu, p)
+        assert abs(res.value - brute_force_oracle(mu, nu, p).value) <= 1e-9
+        assert res.plan.n_entries <= mu.n_atoms + nu.n_atoms - 1
+        res.plan.validate(1e-10)
+
+
+def test_line_500_atoms_matches_quantile_oracle():
+    rng = np.random.default_rng(12)
+    mu = validate_measure(rng.uniform(-10, 10, (500, 1)), np.full(500, 1.0 / 500))
+    w = rng.random(500) + 0.05
+    nu = validate_measure(rng.uniform(-10, 10, (500, 1)), w / w.sum())
+    assert mu.n_atoms == nu.n_atoms == 500
+    for p in (1.0, 2.0):
+        res = wasserstein_exact(mu, nu, p)
+        assert abs(res.value - wasserstein_1d_oracle(mu, nu, p).value) <= 1e-9
+
+
+def _highs_cost(C, a, b):
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    n, m = C.shape
+    A = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                       sparse.kron(np.ones((1, n)), sparse.eye(m))])
+    lp = optimize.linprog(C.ravel(), A_eq=A, b_eq=np.concatenate([a, b]),
+                          bounds=(0, None), method="highs")
+    assert lp.status == 0
+    return lp.fun
+
+
+@pytest.mark.parametrize("n", [60, 100])
+def test_certified_plans_in_the_plane(n):
+    # the solve raises unless its potentials certify the plan optimal
+    rng = np.random.default_rng(n)
+    mu = random_measure(rng, n, 2, min_atoms=n)
+    nu = random_measure(rng, n, 2, min_atoms=n)
+    res = wasserstein_exact(mu, nu, 2.0)
+    assert res.plan.n_entries <= 2 * n - 1
+    res.plan.validate(1e-10)
+    C = np.sum((mu.support[:, None, :] - nu.support[None, :, :]) ** 2, axis=2)
+    assert abs(res.cost - _highs_cost(C, mu.weights, nu.weights)) <= 1e-7 * C.max()
+
+
+def test_certificate_rejects_a_non_optimal_basis(monkeypatch):
+    # the northwest tree pairs (0,0)-(0,5) and (1,5)-(1,0); swapping is cheaper
+    mu = validate_measure([[0.0, 0.0], [1.0, 5.0]], [0.5, 0.5])
+    nu = validate_measure([[0.0, 5.0], [1.0, 0.0]], [0.5, 0.5])
+    assert abs(wasserstein_exact(mu, nu, 1.0).value - 1.0) <= 1e-12
+
+    def northwest_tree(C, a, b):
+        cells, _ = ot_exact._northwest(a, b)
+        assert cells == [(0, 0), (1, 0), (1, 1)]
+        v0 = C[0, 0]
+        u1 = C[1, 0] - v0
+        return cells, np.array([0.0, u1]), np.array([v0, C[1, 1] - u1])
+    monkeypatch.setattr(ot_exact, "_simplex_basis", northwest_tree)
+    with pytest.raises(NumericalInconsistency, match="certificate"):
+        wasserstein_exact(mu, nu, 1.0)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -206,10 +207,18 @@ def _malformed_inputs(tmp_path):
     bad.write_text("{not json")
     no_field = tmp_path / "no_field.json"
     no_field.write_text(json.dumps({"omega": {"support": [[0.0]], "weights": [1.0]}}))
+    no_base = tmp_path / "no_base.json"
+    no_base.write_text(json.dumps({"field": {"kind": "lifted"},
+                                   "omega": {"support": [[0.0]], "weights": [1.0]}}))
+    no_support = tmp_path / "no_support.json"
+    no_support.write_text(json.dumps({"field": {"kind": "constant", "value": 1.0},
+                                      "omega": {"weights": [1.0]}}))
     return {
         "busemann-bad-json": ["busemann", str(bad)],
         "busemann-missing-file": ["busemann", str(tmp_path / "missing.json")],
         "check-viscosity-no-field": ["check-viscosity", str(no_field)],
+        "check-viscosity-no-base": ["check-viscosity", str(no_base)],
+        "check-viscosity-omega-no-support": ["check-viscosity", str(no_support)],
         "wp-j-too-large": ["wp", str(measures), "--j", "5"],
         "wp-i-negative": ["wp", str(measures), "--i", "-1"],
         "geodesic-i-too-large": ["geodesic", str(measures), "--i", "9"],
@@ -220,6 +229,7 @@ def _malformed_inputs(tmp_path):
 
 @pytest.mark.parametrize("case", [
     "busemann-bad-json", "busemann-missing-file", "check-viscosity-no-field",
+    "check-viscosity-no-base", "check-viscosity-omega-no-support",
     "wp-j-too-large", "wp-i-negative", "geodesic-i-too-large", "reproduce-ex3-p3",
     "acceptance-no-match",
 ])
@@ -256,8 +266,9 @@ def test_cli_acceptance_report(tmp_path, capsys):
                                "C06-flat-limit-sphere": True}
     assert doc["expected_ok"] is True
 
-    # cells are written unquoted, so a detail holding commas spans columns
-    lines = (out_dir / "acceptance_criteria.csv").read_text().splitlines()
-    assert lines[0] == "criterion,status,detail"
-    assert lines[1:] == [f"{name},{'PASS' if ok else 'FAIL'},{detail}"
-                         for name, ok, detail in run_all(["C03", "C06"])]
+    with (out_dir / "acceptance_criteria.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["criterion", "status", "detail"]
+    assert all(len(row) == 3 for row in rows)
+    assert rows[1:] == [[name, "PASS" if ok else "FAIL", detail]
+                        for name, ok, detail in run_all(["C03", "C06"])]
