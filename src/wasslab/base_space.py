@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, EmptyCollection, UnsupportedField
+from .errors import DimensionError, DomainError, EmptyCollection, ParseError, UnsupportedField
 
 # Unit vectors are accepted as-is within UNIT_TOL, silently renormalized when
 # within UNIT_FIX of unit norm, and rejected beyond that.
@@ -304,6 +304,8 @@ def min_combine(fields: Sequence[ScalarField]) -> ScalarField:
 
 def base_field_from_config(cfg: dict) -> ScalarField:
     """Build a field from its JSON description: {"variant": ..., ...}."""
+    if not isinstance(cfg, dict):
+        raise ParseError(f"a base field config must be a JSON object, got {cfg!r}")
     variant = cfg.get("variant")
     if variant == "busemann":
         return BusemannField(np.asarray(cfg["direction"], dtype=float),

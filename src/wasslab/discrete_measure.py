@@ -67,6 +67,8 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DiscreteMeasure":
+        if not isinstance(obj, dict):
+            raise ParseError(f"a measure must be a JSON object, got {obj!r}")
         try:
             support, weights = obj["support"], obj["weights"]
         except KeyError as exc:

@@ -16,7 +16,7 @@ otherwise the search reports INCONCLUSIVE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -116,27 +116,20 @@ class DistanceToField(MeasureField):
 class RayBusemannField(MeasureField):
     """Horizon function of a unit-speed ray, evaluated by truncation.
 
-    Estimates are memoized per measure; the truncation parameters are part
-    of the field identity, so two fields with different schedules are
-    different functions.
+    The truncation parameters are part of the field identity, so two fields
+    with different schedules are different functions.
     """
 
     ray: WassersteinRay
     tol: float = 1e-6
     t_max: float = 1e6
-    _cache: dict = dataclass_field(init=False, repr=False, default_factory=dict)
 
     @property
     def p(self) -> float:
         return self.ray.p
 
     def evaluate(self, omega: DiscreteMeasure) -> float:
-        key = omega.cache_key()
-        if key not in self._cache:
-            self._cache[key] = busemann_estimate(
-                self.ray, omega, tol=self.tol, t_max=self.t_max
-            ).value
-        return self._cache[key]
+        return busemann_estimate(self.ray, omega, tol=self.tol, t_max=self.t_max).value
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +140,9 @@ class DlcLimitField(MeasureField):
     p: float = 2.0
     tol: float = 1e-6
     n_max: int = 1024
-    _cache: dict = dataclass_field(init=False, repr=False, default_factory=dict)
 
     def evaluate(self, omega: DiscreteMeasure) -> float:
-        key = omega.cache_key()
-        if key not in self._cache:
-            self._cache[key] = dlc_limit(self.seq, omega, self.p, self.tol, self.n_max)[0]
-        return self._cache[key]
+        return dlc_limit(self.seq, omega, self.p, self.tol, self.n_max)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -616,8 +605,10 @@ def measure_field_from_config(cfg: dict, default_p: float = 2.0) -> MeasureField
     """Build a measure field from its JSON description: {"kind": ..., ...}.
 
     A description, or a nested base field, missing a required entry is a
-    `ParseError`.
+    `ParseError`, and so is a description that is not a JSON object.
     """
+    if not isinstance(cfg, dict):
+        raise ParseError(f"a measure field config must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
     p = float(cfg.get("p", default_p))
     try:

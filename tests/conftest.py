@@ -1,0 +1,24 @@
+import pytest
+
+from wasslab import ot_exact
+
+
+@pytest.fixture(autouse=True)
+def empty_solve_memo():
+    """Start and end every test with an empty solve memo, so test order cannot matter."""
+    ot_exact._memo.clear()
+    yield
+    ot_exact._memo.clear()
+
+
+@pytest.fixture
+def basis_calls(monkeypatch) -> list:
+    """Shapes of the cost matrices `ot_exact._simplex_basis` is called on."""
+    calls = []
+    basis = ot_exact._simplex_basis
+
+    def counted(C, a, b):
+        calls.append(C.shape)
+        return basis(C, a, b)
+    monkeypatch.setattr(ot_exact, "_simplex_basis", counted)
+    return calls

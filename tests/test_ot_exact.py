@@ -150,8 +150,8 @@ def test_oracle_agreement_tiny():
 
 
 def test_degenerate_marginals_do_not_stall():
-    # uniform weights force prefix-sum ties; the perturbed pivot must still
-    # land on an exact vertex of the unperturbed problem
+    # uniform weights force prefix-sum ties, so many pivots are degenerate;
+    # Bland's rule on them must still reach an exact optimal vertex
     rng = np.random.default_rng(8)
     for _ in range(20):
         n = int(rng.integers(2, 7))
@@ -287,5 +287,64 @@ def test_certificate_rejects_a_non_optimal_basis(monkeypatch):
         u1 = C[1, 0] - v0
         return cells, np.array([0.0, u1]), np.array([v0, C[1, 1] - u1])
     monkeypatch.setattr(ot_exact, "_simplex_basis", northwest_tree)
+    ot_exact._memo.clear()  # else the memo serves the first solve again
     with pytest.raises(NumericalInconsistency, match="certificate"):
         wasserstein_exact(mu, nu, 1.0)
+
+
+def test_memo_serves_a_repeat_on_the_callers_measures(basis_calls):
+    mu, nu = TWO_BY_TWO
+    first = wasserstein_exact(mu, nu, 2.0)
+    assert len(basis_calls) == 1
+    twin = validate_measure(mu.support.copy(), mu.weights.copy())
+    again = wasserstein_exact(twin, nu, 2)
+    assert len(basis_calls) == 1
+    assert (again.value, again.cost, again.solver) == (first.value, first.cost, first.solver)
+    assert again.plan.plan_list() == first.plan.plan_list()
+    assert again.plan.masses is first.plan.masses
+    assert again.plan.source is twin and again.plan.target is nu
+    assert again.p == 2
+    wasserstein_exact(mu, nu, 3.0)
+    wasserstein_exact(nu, mu, 2.0)
+    assert len(basis_calls) == 3
+
+
+def test_memo_plan_arrays_are_read_only():
+    mu, nu = TWO_BY_TWO
+    for res in (wasserstein_exact(mu, nu, 2.0), wasserstein_exact(mu, nu, 2.0),
+                wasserstein_exact(dirac([0.0]), nu, 2.0)):
+        for arr in (res.plan.rows, res.plan.cols, res.plan.masses):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def test_memo_holds_the_last_2048_solves(basis_calls):
+    nu = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    mus = [validate_measure([[k], [k + 0.5]], [0.5, 0.5])
+           for k in range(ot_exact.MEMO_SIZE + 1)]
+    for mu in mus:
+        wasserstein_exact(mu, nu, 2.0)
+    assert len(ot_exact._memo) == ot_exact.MEMO_SIZE == 2048
+    assert len(basis_calls) == 2049
+    wasserstein_exact(mus[-1], nu, 2.0)
+    assert len(basis_calls) == 2049
+    wasserstein_exact(mus[0], nu, 2.0)
+    assert len(basis_calls) == 2050
+    assert len(ot_exact._memo) == 2048
+
+
+def test_memo_never_stores_a_raise(monkeypatch):
+    mu, nu = TWO_BY_TWO
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            wasserstein_exact(mu, nu, 0.5)
+    assert not ot_exact._memo
+
+    def non_optimal_tree(C, a, b):
+        cells, _ = ot_exact._northwest(a, b)
+        return cells, np.zeros(a.shape[0]), np.zeros(b.shape[0])
+    monkeypatch.setattr(ot_exact, "_simplex_basis", non_optimal_tree)
+    for _ in range(2):
+        with pytest.raises(NumericalInconsistency, match="certificate"):
+            wasserstein_exact(mu, nu, 2.0)
+    assert not ot_exact._memo

@@ -213,12 +213,20 @@ def _malformed_inputs(tmp_path):
     no_support = tmp_path / "no_support.json"
     no_support.write_text(json.dumps({"field": {"kind": "constant", "value": 1.0},
                                       "omega": {"weights": [1.0]}}))
+    int_field = tmp_path / "int_field.json"
+    int_field.write_text(json.dumps({"field": 5,
+                                     "omega": {"support": [[0.0]], "weights": [1.0]}}))
+    list_omega = tmp_path / "list_omega.json"
+    list_omega.write_text(json.dumps({"field": {"kind": "constant", "value": 1.0},
+                                      "omega": [1, 2]}))
     return {
         "busemann-bad-json": ["busemann", str(bad)],
         "busemann-missing-file": ["busemann", str(tmp_path / "missing.json")],
         "check-viscosity-no-field": ["check-viscosity", str(no_field)],
         "check-viscosity-no-base": ["check-viscosity", str(no_base)],
         "check-viscosity-omega-no-support": ["check-viscosity", str(no_support)],
+        "check-viscosity-int-field": ["check-viscosity", str(int_field)],
+        "check-viscosity-list-omega": ["check-viscosity", str(list_omega)],
         "wp-j-too-large": ["wp", str(measures), "--j", "5"],
         "wp-i-negative": ["wp", str(measures), "--i", "-1"],
         "geodesic-i-too-large": ["geodesic", str(measures), "--i", "9"],
@@ -230,6 +238,7 @@ def _malformed_inputs(tmp_path):
 @pytest.mark.parametrize("case", [
     "busemann-bad-json", "busemann-missing-file", "check-viscosity-no-field",
     "check-viscosity-no-base", "check-viscosity-omega-no-support",
+    "check-viscosity-int-field", "check-viscosity-list-omega",
     "wp-j-too-large", "wp-i-negative", "geodesic-i-too-large", "reproduce-ex3-p3",
     "acceptance-no-match",
 ])
