@@ -303,16 +303,29 @@ def min_combine(fields: Sequence[ScalarField]) -> ScalarField:
 
 
 def base_field_from_config(cfg: dict) -> ScalarField:
-    """Build a field from its JSON description: {"variant": ..., ...}."""
+    """Build a field from its JSON description: {"variant": ..., ...}.
+
+    A description that misses a required entry, has an entry of the wrong
+    JSON type or is not a JSON object is a `ParseError`.
+    """
     if not isinstance(cfg, dict):
         raise ParseError(f"a base field config must be a JSON object, got {cfg!r}")
     variant = cfg.get("variant")
-    if variant == "busemann":
-        return BusemannField(np.asarray(cfg["direction"], dtype=float),
-                             float(cfg.get("offset", 0.0)))
-    if variant == "min":
-        return min_combine([base_field_from_config(f) for f in cfg["fields"]])
-    if variant == "distance":
-        return DistanceField(np.asarray(cfg["points"], dtype=float),
-                             int(cfg.get("sign", -1)))
+    try:
+        if variant == "busemann":
+            return BusemannField(np.asarray(cfg["direction"], dtype=float),
+                                 float(cfg.get("offset", 0.0)))
+        if variant == "min":
+            return min_combine([base_field_from_config(f) for f in cfg["fields"]])
+        if variant == "distance":
+            return DistanceField(np.asarray(cfg["points"], dtype=float),
+                                 int(cfg.get("sign", -1)))
+    except KeyError as exc:
+        raise ParseError(
+            f"{variant} base field config is missing the {exc.args[0]!r} entry"
+        ) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(
+            f"{variant} base field config has an entry of the wrong type: {exc}"
+        ) from exc
     raise DomainError(f"unknown base field variant {variant!r}")

@@ -51,6 +51,29 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(cfg: dict, key: str, default, kind=float):
+    """Config entry `key` converted by `kind`; a value of another JSON type is a ParseError."""
+    value = cfg.get(key, default)
+    if not _is_number(value):
+        raise ParseError(f"config entry {key!r} must be a number, got {value!r}")
+    try:
+        return kind(value)
+    except (OverflowError, ValueError) as exc:  # int() of inf or nan, float() of a huge int
+        raise ParseError(f"config entry {key!r} is out of range: {value!r}") from exc
+
+
+def _numbers(cfg: dict, key: str, default) -> tuple:
+    """Config entry `key`, which must be a list of numbers, as given."""
+    values = cfg.get(key, default)
+    if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
+        raise ParseError(f"config entry {key!r} must be a list of numbers, got {values!r}")
+    return tuple(values)
+
+
 def _field(cfg: dict, p: float):
     if "field" not in cfg:
         raise ParseError("config is missing the 'field' entry")
@@ -98,8 +121,8 @@ def _cmd_busemann(args) -> int:
     U = _field(cfg, args.p)
     ray = lifted_ray(U, _measure(cfg, "start"))
     est = busemann_estimate(ray, _measure(cfg, "omega"),
-                            tol=float(cfg.get("tol", args.tol)),
-                            t_max=float(cfg.get("t_max", 1e6)))
+                            tol=_number(cfg, "tol", args.tol),
+                            t_max=_number(cfg, "t_max", 1e6))
     _print_json({
         "op": "busemann",
         "value": est.value,
@@ -117,10 +140,12 @@ def _cmd_slope(args) -> int:
     U = _field(cfg, args.p)
     omega = _measure(cfg, "omega")
     local = local_slope_estimate(U, omega,
-                                 radii=tuple(cfg.get("radii", (1.0, 0.5, 0.25))),
-                                 budget=int(cfg.get("budget", 8)), rng=args.seed)
+                                 radii=_numbers(cfg, "radii", (1.0, 0.5, 0.25)),
+                                 budget=_number(cfg, "budget", 8, int), rng=args.seed)
     out = {"op": "slope", "local": local.value}
     if "dictionary" in cfg:
+        if not isinstance(cfg["dictionary"], list):
+            raise ParseError("config entry 'dictionary' must be a list of measures")
         dictionary = [DiscreteMeasure.from_json_dict(m) for m in cfg["dictionary"]]
         out["global"] = global_slope_estimate(U, omega, dictionary).value
     _print_json(out)
@@ -131,13 +156,13 @@ def _cmd_check_viscosity(args) -> int:
     cfg = _load_config(args.config)
     U = _field(cfg, args.p)
     res = viscosity_sphere_test(U, _measure(cfg, "omega"),
-                                radii=tuple(cfg.get("radii", (1.0, 0.5, 0.1))),
-                                eps=float(cfg.get("eps", 1e-3)),
-                                budget=int(cfg.get("budget", 8)), rng=args.seed)
+                                radii=_numbers(cfg, "radii", (1.0, 0.5, 0.1)),
+                                eps=_number(cfg, "eps", 1e-3),
+                                budget=_number(cfg, "budget", 8, int), rng=args.seed)
     _print_json(res.to_json_dict())
     if "levels" in cfg:
-        dlg = dlg_test(U, _measure(cfg, "omega"), levels=cfg["levels"],
-                       budget=int(cfg.get("budget", 8)), rng=args.seed)
+        dlg = dlg_test(U, _measure(cfg, "omega"), levels=_numbers(cfg, "levels", ()),
+                       budget=_number(cfg, "budget", 8, int), rng=args.seed)
         _print_json(dlg.to_json_dict())
     return 0 if res.verdict == "PASS" else 1
 
@@ -147,10 +172,10 @@ def _cmd_descend(args) -> int:
     U = _field(cfg, args.p)
     try:
         poly = greedy_descent(U, _measure(cfg, "omega"),
-                              eps=float(cfg.get("epsilon", 1e-2)),
-                              steps=int(cfg.get("steps", 20)),
-                              step_length=float(cfg.get("step_length", 1.0)),
-                              budget=int(cfg.get("budget", 8)), rng=args.seed)
+                              eps=_number(cfg, "epsilon", 1e-2),
+                              steps=_number(cfg, "steps", 20, int),
+                              step_length=_number(cfg, "step_length", 1.0),
+                              budget=_number(cfg, "budget", 8, int), rng=args.seed)
     except DescentStalled as exc:
         _print_json({"op": "descend", "stalled_at_step": exc.step,
                      "best_gap": exc.best_gap})

@@ -8,6 +8,8 @@ idempotent, so a canonical measure passed in again comes back bit-identical.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,14 +75,19 @@ class DiscreteMeasure:
             support, weights = obj["support"], obj["weights"]
         except KeyError as exc:
             raise ParseError(f"measure is missing the {exc.args[0]!r} entry") from exc
-        support = np.asarray(support, dtype=float)
-        if support.ndim == 1:
+        try:
+            support = np.asarray(support, dtype=float)
+            weights = np.asarray(weights, dtype=float)
+            dim = int(obj["dim"]) if "dim" in obj else None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"measure entries must be numbers: {exc}") from exc
+        if support.ndim < 2:
             support = support.reshape(-1, 1)
-        if "dim" in obj and support.shape[1] != int(obj["dim"]):
+        if dim is not None and support.shape[1] != dim:
             raise DimensionError(
                 f"declared dim {obj['dim']} does not match support dim {support.shape[1]}"
             )
-        return validate_measure(support, np.asarray(weights, dtype=float))
+        return validate_measure(support, weights)
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n={self.n_atoms}, dim={self.dim})"
@@ -92,66 +99,97 @@ def _canonical_support(support) -> np.ndarray:
         pts = pts.reshape(1, 1)
     elif pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    if pts.ndim != 2:
-        raise DimensionError(f"support must be an (n, d) array, got shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise DimensionError(
+            f"support must be an (n, d) array with d >= 1, got shape {pts.shape}"
+        )
     return pts
 
 
 def validate_measure(support, weights) -> DiscreteMeasure:
     """Normalize, merge, and prune raw support/weights into a valid measure.
 
-    Weight sums within SUM_FIX_TOL of 1 are renormalized; anything farther is
-    rejected. Atoms within MERGE_TOL of each other are merged (weights summed,
-    lexicographically first point kept) and weights below PRUNE_TOL dropped.
+    Weight sums within SUM_FIX_TOL of 1 are renormalized with a warning;
+    anything farther is rejected. Atoms within MERGE_TOL of each other in the
+    max norm merge, transitively and whatever their order: each connected
+    group keeps its lexicographically first point and the sum of its weights,
+    so a chain 0, 0.9e-12, 1.8e-12 becomes one atom at 0. Weights below
+    PRUNE_TOL are then dropped.
     """
     pts = _canonical_support(support)
-    if pts.shape[0] == 0:
+    n = pts.shape[0]
+    if n == 0:
         raise EmptyMeasure("measure needs at least one atom")
-    if not np.all(np.isfinite(pts)):
+    # a finite sum means finite entries; the full check runs only when it is not
+    if not math.isfinite(pts.sum()) and not np.isfinite(pts).all():
         raise DomainError("support has non-finite coordinates")
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape[0] != pts.shape[0]:
-        raise InvalidWeight(f"{pts.shape[0]} atoms but {w.shape[0]} weights")
-    if not np.all(np.isfinite(w)):
-        raise InvalidWeight("weights must be finite")
-    if np.any(w < 0.0):
-        raise InvalidWeight(f"negative weight {float(w.min())}")
+    if w.shape[0] != n:
+        raise InvalidWeight(f"{n} atoms but {w.shape[0]} weights")
     total = float(w.sum())
+    if not (math.isfinite(total) and w.min() >= 0.0):  # else both checks pass
+        if not np.isfinite(w).all():
+            raise InvalidWeight("weights must be finite")
+        if (w < 0.0).any():
+            raise InvalidWeight(f"negative weight {float(w.min())}")
     # the 1e-15 grace keeps decimal inputs sitting exactly on the boundary
     # (e.g. a sum printed as 0.999999999) on the repairable side
     if abs(total - 1.0) > SUM_FIX_TOL + 1e-15:
         raise NotNormalized(f"weight sum {total} differs from 1 by more than {SUM_FIX_TOL}")
     if abs(total - 1.0) > SUM_KEEP_TOL:
+        warnings.warn(f"weights sum to {total}, renormalizing", stacklevel=2)
         w = w / total
 
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    w = w[order]
+    if n > 1:
+        order = np.lexsort(pts.T[::-1])
+        pts, w = pts[order], w[order]
+        # rows within MERGE_TOL of each other sit in one run of sorted rows
+        # whose first coordinates step by at most MERGE_TOL
+        x0 = pts[:, 0]
+        gaps = x0[1:] - x0[:-1]
+        if gaps.min() <= MERGE_TOL:
+            pts, w = _merge_runs(pts, w, gaps <= MERGE_TOL)
+    else:  # copies, so the measure never shares memory with the caller
+        pts, w = pts.copy(), w.copy()
 
-    rep_rows: list[np.ndarray] = []
-    rep_weights: list[float] = []
-    for row, wt in zip(pts, w):
-        if rep_rows and np.max(np.abs(row - rep_rows[-1])) <= MERGE_TOL:
-            rep_weights[-1] += wt
-        else:
-            rep_rows.append(row)
-            rep_weights.append(wt)
-    pts = np.array(rep_rows)
-    w = np.array(rep_weights)
-
-    keep = w >= PRUNE_TOL
-    pts, w = pts[keep], w[keep]
-    if pts.shape[0] == 0:
-        raise EmptyMeasure("all atoms pruned; measure has no mass")
+    if w.min() < PRUNE_TOL:
+        keep = w >= PRUNE_TOL
+        pts, w = pts[keep], w[keep]
+        if pts.shape[0] == 0:
+            raise EmptyMeasure("all atoms pruned; measure has no mass")
     total = float(w.sum())
     if abs(total - 1.0) > SUM_KEEP_TOL:
         w = w / total
 
-    pts = np.ascontiguousarray(pts)
-    w = np.ascontiguousarray(w)
     pts.setflags(write=False)
     w.setflags(write=False)
     return DiscreteMeasure(pts, w)
+
+
+def _merge_runs(pts: np.ndarray, w: np.ndarray, near: np.ndarray):
+    """Merge the connected groups of sorted rows within MERGE_TOL in max norm.
+
+    `near[i]` says rows i and i+1 have first coordinates within MERGE_TOL.
+    Closeness is only computed inside each run of such rows, so memory is
+    bounded by the longest run squared. Each group keeps its first row, and
+    its weights are summed in sorted order.
+    """
+    first = np.arange(pts.shape[0])  # sorted index of each row's group's first row
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], near, [False]))))
+    for lo, hi in edges.reshape(-1, 2):
+        run = pts[lo:hi + 1]
+        linked = np.abs(run[:, None, :] - run[None, :, :]).max(axis=2) <= MERGE_TOL
+        label = np.arange(run.shape[0])
+        while True:  # spread the smallest index through each connected group
+            spread = np.where(linked, label, run.shape[0]).min(axis=1)
+            spread = spread[spread]  # pointer jumping: a chain takes O(log k) steps
+            if np.array_equal(spread, label):
+                break
+            label = spread
+        first[lo:hi + 1] = lo + label
+    leads = first == np.arange(pts.shape[0])
+    group = np.cumsum(leads)[first] - 1
+    return pts[leads], np.bincount(group, weights=w)
 
 
 def dirac(x) -> DiscreteMeasure:

@@ -158,6 +158,16 @@ def _finish(mu, nu, p, rows, cols, masses, cost, solver) -> TransportResult:
     return TransportResult(value, cost, plan, solver, p)
 
 
+def _product_plan(mu, nu, p, C, solver) -> TransportResult:
+    """The product plan, the only coupling when either side is a Dirac."""
+    n, m = C.shape
+    if n == 1:
+        return _finish(mu, nu, p, np.zeros(m, dtype=int), np.arange(m),
+                       nu.weights.copy(), float(np.dot(nu.weights, C[0])), solver)
+    return _finish(mu, nu, p, np.arange(n), np.zeros(n, dtype=int),
+                   mu.weights.copy(), float(np.dot(mu.weights, C[:, 0])), solver)
+
+
 # ---------------------------------------------------------------------------
 # transportation simplex
 # ---------------------------------------------------------------------------
@@ -374,14 +384,8 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportResul
     D = _distance_matrix(mu, nu)
     C = _cost_matrix(D, p)
 
-    if n == 1:
-        cost = float(np.dot(nu.weights, C[0]))
-        return _finish(mu, nu, p, np.zeros(m, dtype=int), np.arange(m),
-                       nu.weights.copy(), cost, "simplex")
-    if m == 1:
-        cost = float(np.dot(mu.weights, C[:, 0]))
-        return _finish(mu, nu, p, np.arange(n), np.zeros(n, dtype=int),
-                       mu.weights.copy(), cost, "simplex")
+    if n == 1 or m == 1:
+        return _product_plan(mu, nu, p, C, "simplex")
 
     a, b = mu.weights, nu.weights
     scale = float(C.max())
@@ -560,14 +564,8 @@ def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0)
     D = _distance_matrix(mu, nu)
     C = _cost_matrix(D, p)
 
-    if n == 1:
-        cost = float(np.dot(nu.weights, C[0]))
-        return _finish(mu, nu, p, np.zeros(m, dtype=int), np.arange(m),
-                       nu.weights.copy(), cost, "bruteforce")
-    if m == 1:
-        cost = float(np.dot(mu.weights, C[:, 0]))
-        return _finish(mu, nu, p, np.arange(n), np.zeros(n, dtype=int),
-                       mu.weights.copy(), cost, "bruteforce")
+    if n == 1 or m == 1:
+        return _product_plan(mu, nu, p, C, "bruteforce")
 
     if n == m and n <= MAX_PERMUTATION_SIZE and _is_uniform(mu.weights) and _is_uniform(nu.weights):
         cost, perm = _best_permutation(C, mu.weights)

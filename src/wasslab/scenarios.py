@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,9 +132,6 @@ def load_measures(path) -> list[DiscreteMeasure]:
     for k, item in enumerate(items):
         if not isinstance(item, dict) or "support" not in item or "weights" not in item:
             raise ParseError(f"measure {k}: expected an object with support and weights")
-        total = float(np.sum(np.asarray(item["weights"], dtype=float)))
-        if 1e-12 < abs(total - 1.0) <= 1e-9 + 1e-15:
-            warnings.warn(f"measure {k}: weights sum to {total}, renormalizing")
         try:
             out.append(DiscreteMeasure.from_json_dict(item))
         except WasslabError as exc:

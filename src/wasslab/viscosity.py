@@ -604,14 +604,14 @@ def representation_check(U: MeasureField, omega: DiscreteMeasure,
 def measure_field_from_config(cfg: dict, default_p: float = 2.0) -> MeasureField:
     """Build a measure field from its JSON description: {"kind": ..., ...}.
 
-    A description, or a nested base field, missing a required entry is a
-    `ParseError`, and so is a description that is not a JSON object.
+    A description, or a nested base field, that misses a required entry, has
+    an entry of the wrong JSON type or is not a JSON object is a `ParseError`.
     """
     if not isinstance(cfg, dict):
         raise ParseError(f"a measure field config must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
-    p = float(cfg.get("p", default_p))
     try:
+        p = float(cfg.get("p", default_p))
         if kind == "lifted":
             return lift(base_field_from_config(cfg["base"]), p)
         if kind == "distance_to":
@@ -623,4 +623,6 @@ def measure_field_from_config(cfg: dict, default_p: float = 2.0) -> MeasureField
             return inf_of_fields([measure_field_from_config(m, p) for m in cfg["members"]])
     except KeyError as exc:
         raise ParseError(f"{kind} field config is missing the {exc.args[0]!r} entry") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{kind} field config has an entry of the wrong type: {exc}") from exc
     raise DomainError(f"unknown measure field kind {kind!r}")

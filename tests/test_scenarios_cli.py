@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wasslab
 from wasslab.acceptance import run_all
 from wasslab.cli import main
 from wasslab.errors import InvalidMeasure, ParseError
@@ -219,7 +224,22 @@ def _malformed_inputs(tmp_path):
     list_omega = tmp_path / "list_omega.json"
     list_omega.write_text(json.dumps({"field": {"kind": "constant", "value": 1.0},
                                       "omega": [1, 2]}))
+    wrong_leaves = {
+        "support-string": {"field": {"kind": "constant", "value": 1.0},
+                           "omega": {"support": "abc", "weights": [1.0]}},
+        "members-int": {"field": {"kind": "inf", "members": 5},
+                        "omega": {"support": [[0.0]], "weights": [1.0]}},
+        "radii-string": {"field": {"kind": "constant", "value": 1.0},
+                         "omega": {"support": [[0.0]], "weights": [1.0]}, "radii": "x"},
+        "direction-string": {"field": {"kind": "lifted",
+                                       "base": {"variant": "busemann", "direction": "abc"}},
+                             "omega": {"support": [[0.0]], "weights": [1.0]}},
+    }
+    for name, cfg in wrong_leaves.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     return {
+        **{f"check-viscosity-{name}": ["check-viscosity", str(tmp_path / f"{name}.json")]
+           for name in wrong_leaves},
         "busemann-bad-json": ["busemann", str(bad)],
         "busemann-missing-file": ["busemann", str(tmp_path / "missing.json")],
         "check-viscosity-no-field": ["check-viscosity", str(no_field)],
@@ -239,6 +259,8 @@ def _malformed_inputs(tmp_path):
     "busemann-bad-json", "busemann-missing-file", "check-viscosity-no-field",
     "check-viscosity-no-base", "check-viscosity-omega-no-support",
     "check-viscosity-int-field", "check-viscosity-list-omega",
+    "check-viscosity-support-string", "check-viscosity-members-int",
+    "check-viscosity-radii-string", "check-viscosity-direction-string",
     "wp-j-too-large", "wp-i-negative", "geodesic-i-too-large", "reproduce-ex3-p3",
     "acceptance-no-match",
 ])
@@ -281,3 +303,13 @@ def test_cli_acceptance_report(tmp_path, capsys):
     assert all(len(row) == 3 for row in rows)
     assert rows[1:] == [[name, "PASS" if ok else "FAIL", detail]
                         for name, ok, detail in run_all(["C03", "C06"])]
+
+
+def test_python_dash_m_wasslab_runs_the_cli():
+    src = str(Path(wasslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "wasslab", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: wasslab")
