@@ -33,7 +33,6 @@ from .ot_exact import (
 from .viscosity import (
     ConstantField,
     DistanceToField,
-    DlcLimitField,
     InfField,
     LiftedField,
     MeasureField,
@@ -74,8 +73,8 @@ __all__ = [
     "random_measure", "validate_measure",
     "Coupling", "TransportResult", "brute_force_oracle", "wasserstein_1d_oracle",
     "wasserstein_exact",
-    "ConstantField", "DistanceToField", "DlcLimitField", "InfField", "LiftedField",
-    "MeasureField", "RayBusemannField", "SlopeEstimate", "DescentPolyline",
+    "ConstantField", "DistanceToField", "InfField", "LiftedField", "MeasureField",
+    "RayBusemannField", "SlopeEstimate", "DescentPolyline",
     "dlg_test", "global_slope_estimate", "greedy_descent",
     "inf_of_fields", "lift", "lifted_ray", "lipschitz_probe",
     "local_slope_estimate", "measure_field_from_config", "representation_check",

@@ -22,9 +22,12 @@ from .errors import DescentStalled, ParseError
 from .ot_exact import brute_force_oracle, wasserstein_1d_oracle, wasserstein_exact
 from .scenarios import (
     DISTANCE_TOL,
+    RAY_DROP_TOL,
+    RAY_SPAN_TOL,
     escaping_distances,
     escaping_sphere_cuts,
     flat_limit_sphere,
+    lifted_ray_calibration,
     vanishing_decay,
 )
 from .viscosity import (
@@ -145,15 +148,10 @@ def _crit_lifting() -> tuple[bool, str]:
     if ratio > 1.0 + 1e-9:
         return False, f"Lipschitz probe ratio {ratio}"
 
-    worst_drop = worst_span = 0.0
-    for omega in measures:
-        ray = lifted_ray(U, omega)
-        start = ray.eval(0.0)
-        for dt in (1.0, 5.0, 10.0):
-            moved = ray.eval(dt)
-            worst_drop = max(worst_drop, abs(U.evaluate(start) - U.evaluate(moved) - dt))
-            worst_span = max(worst_span, abs(wasserstein_exact(start, moved, p).value - dt))
-    if worst_drop > 1e-10 or worst_span > 1e-8:
+    rows = lifted_ray_calibration(U, measures)
+    worst_drop = max(drop_err for *_, drop_err, _ in rows)
+    worst_span = max(span_err for *_, span_err in rows)
+    if worst_drop > RAY_DROP_TOL or worst_span > RAY_SPAN_TOL:
         return False, f"ray calibration drop_err={worst_drop:.2e} span_err={worst_span:.2e}"
 
     for omega in measures:

@@ -155,14 +155,17 @@ def _cmd_slope(args) -> int:
 def _cmd_check_viscosity(args) -> int:
     cfg = _load_config(args.config)
     U = _field(cfg, args.p)
-    res = viscosity_sphere_test(U, _measure(cfg, "omega"),
-                                radii=_numbers(cfg, "radii", (1.0, 0.5, 0.1)),
-                                eps=_number(cfg, "eps", 1e-3),
-                                budget=_number(cfg, "budget", 8, int), rng=args.seed)
-    _print_json(res.to_json_dict())
+    omega = _measure(cfg, "omega")
+    budget = _number(cfg, "budget", 8, int)
+    res = viscosity_sphere_test(U, omega, radii=_numbers(cfg, "radii", (1.0, 0.5, 0.1)),
+                                eps=_number(cfg, "eps", 1e-3), budget=budget, rng=args.seed)
+    # both verdicts run before either prints, so bad levels leave stdout empty
+    dlg = None
     if "levels" in cfg:
-        dlg = dlg_test(U, _measure(cfg, "omega"), levels=_numbers(cfg, "levels", ()),
-                       budget=_number(cfg, "budget", 8, int), rng=args.seed)
+        dlg = dlg_test(U, omega, levels=_numbers(cfg, "levels", ()), budget=budget,
+                       rng=args.seed)
+    _print_json(res.to_json_dict())
+    if dlg is not None:
         _print_json(dlg.to_json_dict())
     return 0 if res.verdict == "PASS" else 1
 

@@ -385,6 +385,26 @@ def lift_demo_field(seed: int = 0, p: float = 2.0):
     return lift(MinField(members), p)
 
 
+RAY_DROP_TOL = 1e-10      # budget for |U(ray(0)) - U(ray(dt)) - dt|
+RAY_SPAN_TOL = 1e-8       # budget for |W_p(ray(0), ray(dt)) - dt|
+
+
+def lifted_ray_calibration(U, measures, dts=(1.0, 5.0, 10.0)) -> list[tuple]:
+    """(k, dt, drop_err, span_err) along the lifted ray of U from measures[k]:
+    the errors of the value drop and of the certified span against dt. The
+    lift-demo table and criterion C07 both come from it."""
+    rows = []
+    for k, omega in enumerate(measures):
+        ray = lifted_ray(U, omega)
+        start = ray.eval(0.0)
+        for dt in dts:
+            moved = ray.eval(dt)
+            drop_err = abs(U.evaluate(start) - U.evaluate(moved) - dt)
+            span_err = abs(wasserstein_exact(start, moved, U.p).value - dt)
+            rows.append((k, dt, float(drop_err), float(span_err)))
+    return rows
+
+
 def _run_lift_demo(cfg: ScenarioConfig) -> Report:
     report = Report("lift-demo", stamp=_stamp(cfg))
     p = cfg.p
@@ -396,16 +416,9 @@ def _run_lift_demo(cfg: ScenarioConfig) -> Report:
     ratio = lipschitz_probe(U, pairs)
     probe_ok = ratio <= 1.0 + 1e-9
 
-    cal_rows = []
-    cal_ok = True
-    for k, omega in enumerate(corpus[:4]):
-        ray = lifted_ray(U, omega)
-        start = ray.eval(0.0)
-        for dt in (1.0, 5.0, 10.0):
-            drop = U.evaluate(start) - U.evaluate(ray.eval(dt))
-            span = wasserstein_exact(start, ray.eval(dt), p).value
-            cal_rows.append([k, dt, float(abs(drop - dt)), float(abs(span - dt))])
-            cal_ok = cal_ok and abs(drop - dt) <= 1e-10 and abs(span - dt) <= 1e-8
+    cal_rows = lifted_ray_calibration(U, corpus[:4])
+    cal_ok = all(drop_err <= RAY_DROP_TOL and span_err <= RAY_SPAN_TOL
+                 for *_, drop_err, span_err in cal_rows)
     report.tables["calibration"] = {
         "columns": ["measure", "dt", "drop_err", "span_err"],
         "rows": cal_rows,

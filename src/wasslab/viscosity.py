@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .base_space import ScalarField, base_field_from_config
-from .discrete_measure import DiscreteMeasure, MeasureSetSequence
+from .discrete_measure import DiscreteMeasure
 from .errors import (
     DescentStalled,
     DomainError,
@@ -38,7 +38,6 @@ from .wgeom import (
     WassersteinRay,
     busemann_estimate,
     displacement_path,
-    dlc_limit,
     ensure_rng,
     sphere_sample,
 )
@@ -50,6 +49,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 _DEGENERATE_PAIR = 1e-10  # pairs closer than this carry no slope information
 CALIBRATION_EPS = 1e-3    # default sphere-test calibration slack
 WITNESS_EPS = 1e-6        # default analytic-witness slack
+PROBE_TS = (0.0, 1.0, 10.0)  # spans on which representation_check probes each ray
+PROBE_TOL = 1e-8             # allowed gap between a probed drop and its span
+ESTIMATOR_TOL = 1e-6         # doubling-increment tolerance of horizon estimates
 
 
 class MeasureField:
@@ -130,19 +132,6 @@ class RayBusemannField(MeasureField):
 
     def evaluate(self, omega: DiscreteMeasure) -> float:
         return busemann_estimate(self.ray, omega, tol=self.tol, t_max=self.t_max).value
-
-
-@dataclass(frozen=True, eq=False)
-class DlcLimitField(MeasureField):
-    """Distance-limit function of an escaping family of measure sets."""
-
-    seq: MeasureSetSequence
-    p: float = 2.0
-    tol: float = 1e-6
-    n_max: int = 1024
-
-    def evaluate(self, omega: DiscreteMeasure) -> float:
-        return dlc_limit(self.seq, omega, self.p, self.tol, self.n_max)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,42 +231,46 @@ class SlopeEstimate:
     skipped_radii: tuple[float, ...] = ()
 
 
-def _candidates_at_radius(U, omega, r, budget, rng):
-    """(measure, certified distance) candidates at radius r, analytic first."""
+def _scan(U, omega, r, budget, rng):
+    """Candidates at radius r, analytic first, as (raw count, lazy stream of
+    (measure, certified distance, U(measure)) over the non-degenerate ones)."""
     cands: list[tuple[DiscreteMeasure, float]] = []
     analytic = U.descent_candidate(omega, r)
     if analytic is not None:
-        cert = wasserstein_exact(omega, analytic, U.p).value
-        cands.append((analytic, cert))
+        cands.append((analytic, wasserstein_exact(omega, analytic, U.p).value))
     try:
         cands.extend(sphere_sample(omega, r, U.p, budget=budget, rng=rng))
     except SphereSamplingFailed:
         pass
-    return cands
+    return len(cands), ((x, cert, U.evaluate(x)) for x, cert in cands
+                        if cert > _DEGENERATE_PAIR)
+
+
+def _check_radii(radii: Sequence[float]) -> tuple[float, ...]:
+    radii = tuple(radii)
+    if not radii or any(r <= 0 for r in radii) or any(
+        radii[k] <= radii[k + 1] for k in range(len(radii) - 1)
+    ):
+        raise DomainError(f"radii must be positive and decreasing, got {radii}")
+    return radii
 
 
 def local_slope_estimate(U: MeasureField, omega: DiscreteMeasure,
                          radii: Sequence[float] = (1.0, 0.5, 0.25),
                          budget: int = 8, rng=None) -> SlopeEstimate:
     """Lower bound on the local slope of U at omega over shrinking radii."""
-    radii = tuple(radii)
-    if not radii or any(r <= 0 for r in radii) or any(
-        radii[k] <= radii[k + 1] for k in range(len(radii) - 1)
-    ):
-        raise DomainError(f"radii must be positive and decreasing, got {radii}")
+    radii = _check_radii(radii)
     rng = ensure_rng(rng)
     base_value = U.evaluate(omega)
     best: tuple[float, tuple | None] = (0.0, None)
     skipped = []
     for r in radii:
-        cands = _candidates_at_radius(U, omega, r, budget, rng)
-        if not cands:
+        n_candidates, stream = _scan(U, omega, r, budget, rng)
+        if not n_candidates:
             skipped.append(r)
             continue
-        for x, cert in cands:
-            if cert <= _DEGENERATE_PAIR:
-                continue
-            ratio = max(base_value - U.evaluate(x), 0.0) / cert
+        for x, cert, value in stream:
+            ratio = max(base_value - value, 0.0) / cert
             if best[1] is None or ratio > best[0]:
                 best = (ratio, (x, cert, ratio))
     return SlopeEstimate(best[0], best[1], radii, tuple(skipped))
@@ -351,30 +344,30 @@ def viscosity_sphere_test(U: MeasureField, omega: DiscreteMeasure,
     searching. PASS requires a witness at every radius. With no witness the
     verdict is FAIL for analytically complete variants and INCONCLUSIVE
     otherwise, and a radius with no candidates at all is inconclusive.
+    Radii must be positive and decreasing, and 0 < eps < 1.
     """
-    if not radii:
-        raise DomainError("at least one radius is required")
+    radii = _check_radii(radii)
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps {eps} must lie strictly between 0 and 1")
     rng = ensure_rng(rng)
     base_value = U.evaluate(omega)
     probes: list[RadiusProbe] = []
     any_empty = False
     all_witnessed = True
     for r in radii:
-        cands = _candidates_at_radius(U, omega, r, budget, rng)
+        n_candidates, stream = _scan(U, omega, r, budget, rng)
         witness = None
         best_gap = np.inf
-        for x, cert in cands:
-            if cert <= _DEGENERATE_PAIR:
-                continue
-            drop = base_value - U.evaluate(x)
+        for x, cert, value in stream:
+            drop = base_value - value
             best_gap = min(best_gap, cert - drop)
             if witness is None and drop >= cert * (1.0 - eps):
                 witness = (x, cert, drop)
-        if not cands:
+        if not n_candidates:
             any_empty = True
         if witness is None:
             all_witnessed = False
-        probes.append(RadiusProbe(float(r), witness, float(best_gap), len(cands)))
+        probes.append(RadiusProbe(float(r), witness, float(best_gap), n_candidates))
     if all_witnessed and not any_empty:
         verdict = PASS
     elif any_empty or not U.exhaustive:
@@ -420,21 +413,21 @@ def dlg_test(U: MeasureField, omega: DiscreteMeasure, levels: Sequence[float],
     The lower bound U(omega) >= c + d(omega, sublevel) is automatic for a
     1-Lipschitz field, so per level c the test searches for a witness x with
     U(x) <= c + 1e-9 at certified distance <= U(omega) - c + eps. Analytic
-    variants supply the exact witness at arc length U(omega) - c.
+    variants supply the exact witness at arc length U(omega) - c. At least
+    one level is required, and each must lie more than 1e-10 below
+    U(omega), so that a witness is never a degenerate candidate.
     """
-    rng = ensure_rng(rng)
     base_value = U.evaluate(omega)
+    if not levels or not all(c < base_value - _DEGENERATE_PAIR for c in levels):
+        raise DomainError(f"levels {list(levels)} must be non-empty and each more than "
+                          f"{_DEGENERATE_PAIR:g} below the value {base_value}")
+    rng = ensure_rng(rng)
     probes: list[LevelProbe] = []
     for c in levels:
-        if not c < base_value:
-            raise DomainError(f"level {c} is not strictly below the value {base_value}")
         delta = base_value - c
-        cands = _candidates_at_radius(U, omega, delta, budget, rng)
-        witness = None
-        for x, cert in cands:
-            if U.evaluate(x) <= c + 1e-9 and cert <= delta + eps:
-                witness = (x, cert)
-                break
+        _, stream = _scan(U, omega, delta, budget, rng)
+        witness = next(((x, cert) for x, cert, value in stream
+                        if value <= c + 1e-9 and cert <= delta + eps), None)
         if witness is not None:
             verdict = PASS
         else:
@@ -503,6 +496,8 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
         raise DomainError(f"eps {eps} must be positive")
     if steps < 1:
         raise DomainError(f"steps {steps} must be at least 1")
+    if step_length <= 0.0:
+        raise DomainError(f"step_length {step_length} must be positive")
     rng = ensure_rng(rng)
     vertices = [omega]
     values = [U.evaluate(omega)]
@@ -510,17 +505,15 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
     drops: list[float] = []
     for k in range(1, steps + 1):
         defect = eps / 2.0**k
-        cands = _candidates_at_radius(U, vertices[-1], step_length, budget, rng)
-        best = None  # (margin, index, x, cert, drop)
+        _, stream = _scan(U, vertices[-1], step_length, budget, rng)
+        best = None  # (margin, x, cert, drop)
         worst_gap = np.inf
-        for idx, (x, cert) in enumerate(cands):
-            if cert <= _DEGENERATE_PAIR:
-                continue
-            drop = values[-1] - U.evaluate(x)
+        for x, cert, value in stream:
+            drop = values[-1] - value
             margin = drop - cert
             worst_gap = min(worst_gap, cert - drop)
             if margin >= -defect and (best is None or margin > best[0]):
-                best = (margin, idx, x, cert, drop)
+                best = (margin, x, cert, drop)
         if best is None:
             raise DescentStalled(
                 f"no admissible candidate at step {k} (best gap {worst_gap:.3e}, "
@@ -530,7 +523,7 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
                 polyline=DescentPolyline(tuple(vertices), tuple(times),
                                          tuple(drops), tuple(values), eps, U.p),
             )
-        _, _, x, cert, drop = best
+        _, x, cert, drop = best
         vertices.append(x)
         values.append(values[-1] - drop)
         times.append(times[-1] + cert)
@@ -541,9 +534,6 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
 
 def representation_check(U: MeasureField, omega: DiscreteMeasure,
                          rays: Sequence[WassersteinRay], tol: float = 1e-6,
-                         probe_ts: Sequence[float] = (0.0, 1.0, 10.0),
-                         probe_tol: float = 1e-8,
-                         estimator_tol: float = 1e-6,
                          estimator_t_max: float = 1e6) -> dict:
     """Horizon representation of U: value = inf over descent rays of
     [value at the ray start + horizon function of the ray].
@@ -560,13 +550,13 @@ def representation_check(U: MeasureField, omega: DiscreteMeasure,
     for idx, ray in enumerate(rays):
         start = ray.eval(0.0)
         v0 = U.evaluate(start)
-        for t in probe_ts:
+        for t in PROBE_TS:
             drop = v0 - U.evaluate(ray.eval(t))
-            if abs(drop - t) > probe_tol:
+            if abs(drop - t) > PROBE_TOL:
                 raise InvalidRay(
                     f"ray {idx} drops {drop} over span {t}; not a descent ray of U"
                 )
-        b = busemann_estimate(ray, omega, tol=estimator_tol, t_max=estimator_t_max)
+        b = busemann_estimate(ray, omega, tol=ESTIMATOR_TOL, t_max=estimator_t_max)
         slack = (v0 + b.value) - U.evaluate(omega)
         ok = slack >= -tol
         passed = passed and ok
@@ -583,7 +573,7 @@ def representation_check(U: MeasureField, omega: DiscreteMeasure,
     except UnsupportedField:
         own = None
     if own is not None:
-        b_own = busemann_estimate(own, omega, tol=estimator_tol, t_max=estimator_t_max)
+        b_own = busemann_estimate(own, omega, tol=ESTIMATOR_TOL, t_max=estimator_t_max)
         ok = abs(b_own.value) <= tol
         passed = passed and ok
         own_report = {"busemann": b_own.value, "ok": ok}
@@ -594,8 +584,8 @@ def representation_check(U: MeasureField, omega: DiscreteMeasure,
         "own_ray": own_report,
         "params": {
             "tol": tol,
-            "probe_ts": list(probe_ts),
-            "estimator_tol": estimator_tol,
+            "probe_ts": list(PROBE_TS),
+            "estimator_tol": ESTIMATOR_TOL,
             "estimator_t_max": estimator_t_max,
         },
     }

@@ -237,6 +237,15 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
             return v / norm
 
 
+def _in_band(cert: float, r: float) -> bool:
+    return SPHERE_BAND[0] * r <= cert <= SPHERE_BAND[1] * r
+
+
+def _translate_candidate(omega, r, p, rng):
+    cand = omega.translate(r * _random_unit(rng, omega.dim))
+    return cand, wasserstein_exact(omega, cand, p).value
+
+
 def _atom_shift_candidate(omega, r, p, rng):
     idx = int(rng.integers(omega.n_atoms))
     u = _random_unit(rng, omega.dim)
@@ -246,43 +255,38 @@ def _atom_shift_candidate(omega, r, p, rng):
         pts[idx] = pts[idx] + s * u
         cand = validate_measure(pts, omega.weights)
         cert = wasserstein_exact(omega, cand, p).value
-        if SPHERE_BAND[0] * r <= cert <= SPHERE_BAND[1] * r:
-            return cand, cert
+        if _in_band(cert, r):
+            break
         if cert <= 1e-12:
             s *= 10.0
         else:
             s *= min(max(r / cert, 0.2), 5.0)
-    return None
+    return cand, cert
 
 
-def _path_candidate(omega, r, p, rng, dictionary):
-    if dictionary:
-        target = dictionary[int(rng.integers(len(dictionary)))]
-    else:
-        shift = 2.0 * r * _random_unit(rng, omega.dim)
-        pts = omega.support + shift + rng.normal(scale=max(r, 0.5), size=omega.support.shape)
-        target = validate_measure(pts, omega.weights)
-    path = displacement_path(omega, target, p)
+def _path_candidate(omega, r, p, rng):
+    shift = 2.0 * r * _random_unit(rng, omega.dim)
+    pts = omega.support + shift + rng.normal(scale=max(r, 0.5), size=omega.support.shape)
+    path = displacement_path(omega, validate_measure(pts, omega.weights), p)
     if path.length <= r:
         return None
     cand = path.eval(r)
-    cert = wasserstein_exact(omega, cand, p).value
-    if SPHERE_BAND[0] * r <= cert <= SPHERE_BAND[1] * r:
-        return cand, cert
-    return None
+    return cand, wasserstein_exact(omega, cand, p).value
+
+
+# each proposes one (measure, certified distance), or None; taken in turn
+_SPHERE_GENERATORS = (_translate_candidate, _atom_shift_candidate, _path_candidate)
 
 
 def sphere_sample(omega: DiscreteMeasure, r: float, p: float = 2.0,
-                  budget: int = 8, rng=None,
-                  strategies: tuple[str, ...] = ("translate", "atom", "path"),
-                  dictionary=None) -> list[tuple[DiscreteMeasure, float]]:
+                  budget: int = 8, rng=None) -> list[tuple[DiscreteMeasure, float]]:
     """Candidate measures at solver-certified distance ~r from omega.
 
-    Three generators: rigid translation (lands exactly at r), single-atom
-    displacement with a scale search, and transport toward a random target
-    measure truncated at arc length r. Every sample carries the certified
-    distance, which is what downstream calibration formulas use; acceptance
-    requires it inside [0.9 r, 1.1 r].
+    Three generators, taken in turn: rigid translation (lands exactly at r),
+    single-atom displacement with a scale search, and transport toward a
+    random target measure truncated at arc length r. Every sample carries
+    the certified distance, which is what downstream calibration formulas
+    use; acceptance requires it inside [0.9 r, 1.1 r].
     """
     if r <= 0.0:
         raise DomainError(f"radius {r} must be positive")
@@ -291,27 +295,12 @@ def sphere_sample(omega: DiscreteMeasure, r: float, p: float = 2.0,
     rng = ensure_rng(rng)
     out: list[tuple[DiscreteMeasure, float]] = []
     attempts = 0
-    max_attempts = 4 * budget + len(strategies)
+    max_attempts = 4 * budget + len(_SPHERE_GENERATORS)
     while len(out) < budget and attempts < max_attempts:
-        strategy = strategies[attempts % len(strategies)] if strategies else None
+        got = _SPHERE_GENERATORS[attempts % len(_SPHERE_GENERATORS)](omega, r, p, rng)
         attempts += 1
-        if strategy is None:
-            break
-        if strategy == "translate":
-            cand = omega.translate(r * _random_unit(rng, omega.dim))
-            cert = wasserstein_exact(omega, cand, p).value
-            if SPHERE_BAND[0] * r <= cert <= SPHERE_BAND[1] * r:
-                out.append((cand, cert))
-        elif strategy == "atom":
-            got = _atom_shift_candidate(omega, r, p, rng)
-            if got is not None:
-                out.append(got)
-        elif strategy == "path":
-            got = _path_candidate(omega, r, p, rng, dictionary)
-            if got is not None:
-                out.append(got)
-        else:
-            raise DomainError(f"unknown sphere strategy {strategy!r}")
+        if got is not None and _in_band(got[1], r):
+            out.append(got)
     if not out:
         raise SphereSamplingFailed(
             f"no candidate landed in [{SPHERE_BAND[0]*r:.3g}, {SPHERE_BAND[1]*r:.3g}] "

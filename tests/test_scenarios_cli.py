@@ -235,11 +235,22 @@ def _malformed_inputs(tmp_path):
                                        "base": {"variant": "busemann", "direction": "abc"}},
                              "omega": {"support": [[0.0]], "weights": [1.0]}},
     }
-    for name, cfg in wrong_leaves.items():
+    # well-typed entries out of their verdict's domain
+    unit_slope = {"field": {"kind": "lifted",
+                            "base": {"variant": "busemann", "direction": [1.0]}},
+                  "omega": {"support": [[0.0], [1.0]], "weights": [0.5, 0.5]}}
+    out_of_domain = {
+        "eps-negative": dict(unit_slope, eps=-1.0),
+        "eps-one": {"field": {"kind": "constant", "value": 0.0},
+                    "omega": {"support": [[0.0]], "weights": [1.0]}, "eps": 1.0},
+        "levels-empty": dict(unit_slope, levels=[]),
+    }
+    configs = {**wrong_leaves, **out_of_domain}
+    for name, cfg in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     return {
         **{f"check-viscosity-{name}": ["check-viscosity", str(tmp_path / f"{name}.json")]
-           for name in wrong_leaves},
+           for name in configs},
         "busemann-bad-json": ["busemann", str(bad)],
         "busemann-missing-file": ["busemann", str(tmp_path / "missing.json")],
         "check-viscosity-no-field": ["check-viscosity", str(no_field)],
@@ -261,6 +272,8 @@ def _malformed_inputs(tmp_path):
     "check-viscosity-int-field", "check-viscosity-list-omega",
     "check-viscosity-support-string", "check-viscosity-members-int",
     "check-viscosity-radii-string", "check-viscosity-direction-string",
+    "check-viscosity-eps-negative", "check-viscosity-eps-one",
+    "check-viscosity-levels-empty",
     "wp-j-too-large", "wp-i-negative", "geodesic-i-too-large", "reproduce-ex3-p3",
     "acceptance-no-match",
 ])
@@ -313,3 +326,10 @@ def test_python_dash_m_wasslab_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: wasslab")
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from wasslab import *", namespace)
+    assert all(name in namespace for name in wasslab.__all__)
+    assert all(getattr(wasslab, name) is namespace[name] for name in wasslab.__all__)

@@ -22,7 +22,6 @@ from wasslab.ot_exact import wasserstein_exact
 from wasslab.viscosity import (
     ConstantField,
     DistanceToField,
-    DlcLimitField,
     RayBusemannField,
     dlg_test,
     global_slope_estimate,
@@ -102,10 +101,6 @@ def test_lipschitz_probe_battery_all_variants():
     bus = RayBusemannField(ray, tol=1e-18, t_max=64.0)
     assert lipschitz_probe(bus, pairs_2d[:40]) <= 1.0 + 1e-9
 
-    seq = MeasureSetSequence(lambda n: [dirac([float(n), 0.0])], lambda n: float(n))
-    dlc = DlcLimitField(seq, 2.0, tol=1e-18, n_max=64)
-    assert lipschitz_probe(dlc, pairs_2d[:40]) <= 1.0 + 1e-9
-
     assert lipschitz_probe(ConstantField(1.0, 2.0), pairs_2d[:20]) == 0.0
 
 
@@ -148,6 +143,17 @@ def test_slope_dichotomy():
             assert local_slope_estimate(U, omega, rng=rng).value >= 1.0 - 1e-3
     assert local_slope_estimate(ConstantField(0.0, 2.0),
                                 random_measure(rng, 3, 2), rng=rng).value == 0.0
+
+
+def test_sphere_test_checks_radii_and_eps_up_front():
+    U = lift(BusemannField(np.array([1.0])), 2.0)
+    omega = _mix((0.0, 0.5), (1.0, 0.5))
+    for radii in ((-1.0,), (0.1, 0.5)):
+        with pytest.raises(DomainError, match="radii must be positive"):
+            viscosity_sphere_test(U, omega, radii=radii, rng=0)
+    for eps in (-1.0, 0.0, 1.0):
+        with pytest.raises(DomainError, match="eps"):
+            viscosity_sphere_test(U, omega, eps=eps, rng=0)
 
 
 def test_sphere_test_lifted_min_passes():
@@ -221,8 +227,9 @@ def test_dlg_lifted_passes_and_constant_fails():
     res = dlg_test(const, omega, levels=(-1.0,), rng=rng)
     assert res.verdict == "FAIL"
 
-    with pytest.raises(DomainError):
-        dlg_test(U, omega, levels=(value,), rng=rng)
+    for levels in ((value,), (value - 5e-11,), ()):
+        with pytest.raises(DomainError):
+            dlg_test(U, omega, levels=levels, rng=rng)
 
 
 def test_greedy_descent_follows_ray():
@@ -234,6 +241,8 @@ def test_greedy_descent_follows_ray():
     assert abs((poly.values[0] - poly.values[-1]) - 20.0) <= 1e-8
     assert poly.check_inequality()
     assert poly.observed_slack() <= 1e-2
+    with pytest.raises(DomainError, match="step_length"):
+        greedy_descent(U, omega, eps=1e-2, steps=1, step_length=-1.0, rng=rng)
 
 
 def test_greedy_descent_constant_stalls_at_first_step():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wasslab import wgeom
 from wasslab.base_space import BaseRay, BusemannField
 from wasslab.discrete_measure import (
     MeasureSetSequence,
@@ -169,10 +170,8 @@ def test_sphere_sample_dirac_translation():
 def test_sphere_sample_translation_always_exact():
     rng = np.random.default_rng(2)
     omega = random_measure(rng, 5, 2)
-    samples = sphere_sample(omega, 0.7, 2.0, budget=6, rng=rng,
-                            strategies=("translate",))
-    assert len(samples) == 6
-    for _, cert in samples:
+    for _ in range(6):
+        _, cert = wgeom._translate_candidate(omega, 0.7, 2.0, rng)
         assert abs(cert - 0.7) <= 1e-10
 
 
@@ -183,18 +182,20 @@ def test_single_atom_shift_certificate():
     moved = validate_measure([[0.0], [6.0]], [0.5, 0.5])
     cert = brute_force_oracle(omega, moved, 2.0).value
     assert abs(cert - math.sqrt(2.0)) <= 1e-12
-    samples = sphere_sample(omega, math.sqrt(2.0), 2.0, budget=6, rng=3,
-                            strategies=("atom",))
-    for _, c in samples:
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        cand, c = wgeom._atom_shift_candidate(omega, math.sqrt(2.0), 2.0, rng)
         assert 0.9 * math.sqrt(2.0) <= c <= 1.1 * math.sqrt(2.0)
+        assert abs(c - brute_force_oracle(omega, cand, 2.0).value) <= 1e-12
 
 
-def test_sphere_sample_failure_is_reported():
+def test_sphere_sample_failure_is_reported(monkeypatch):
     omega = dirac([0.0])
-    near = dirac([0.05])
-    with pytest.raises(SphereSamplingFailed):
-        sphere_sample(omega, 1.0, 2.0, budget=2, rng=0,
-                      strategies=("path",), dictionary=[near])
+    # a generator whose proposals all stay at the centre, far below the band
+    monkeypatch.setattr(wgeom, "_SPHERE_GENERATORS",
+                        (lambda omega, r, p, rng: (omega, 0.0),))
+    with pytest.raises(SphereSamplingFailed, match="after 9 attempts"):
+        sphere_sample(omega, 1.0, 2.0, budget=2, rng=0)
     with pytest.raises(DomainError):
         sphere_sample(omega, -1.0, 2.0)
 
