@@ -387,9 +387,10 @@ def lift_demo_field(seed: int = 0, p: float = 2.0):
 
 RAY_DROP_TOL = 1e-10      # budget for |U(ray(0)) - U(ray(dt)) - dt|
 RAY_SPAN_TOL = 1e-8       # budget for |W_p(ray(0), ray(dt)) - dt|
+RAY_DTS = (1.0, 5.0, 10.0)  # arc lengths at which a lifted ray is calibrated
 
 
-def lifted_ray_calibration(U, measures, dts=(1.0, 5.0, 10.0)) -> list[tuple]:
+def lifted_ray_calibration(U, measures) -> list[tuple]:
     """(k, dt, drop_err, span_err) along the lifted ray of U from measures[k]:
     the errors of the value drop and of the certified span against dt. The
     lift-demo table and criterion C07 both come from it."""
@@ -397,7 +398,7 @@ def lifted_ray_calibration(U, measures, dts=(1.0, 5.0, 10.0)) -> list[tuple]:
     for k, omega in enumerate(measures):
         ray = lifted_ray(U, omega)
         start = ray.eval(0.0)
-        for dt in dts:
+        for dt in RAY_DTS:
             moved = ray.eval(dt)
             drop_err = abs(U.evaluate(start) - U.evaluate(moved) - dt)
             span_err = abs(wasserstein_exact(start, moved, U.p).value - dt)

@@ -415,7 +415,8 @@ def dlg_test(U: MeasureField, omega: DiscreteMeasure, levels: Sequence[float],
     U(x) <= c + 1e-9 at certified distance <= U(omega) - c + eps. Analytic
     variants supply the exact witness at arc length U(omega) - c. At least
     one level is required, and each must lie more than 1e-10 below
-    U(omega), so that a witness is never a degenerate candidate.
+    U(omega), so that the analytic and translate candidates, both at
+    certified distance about U(omega) - c, are never dropped as degenerate.
     """
     base_value = U.evaluate(omega)
     if not levels or not all(c < base_value - _DEGENERATE_PAIR for c in levels):
