@@ -31,7 +31,9 @@ result built from it; a solve that raises is never stored.
 Two independent routes check the simplex: `wasserstein_1d_oracle` builds
 the monotone quantile coupling on the line, which is optimal for every
 convex cost |x-y|^p with p >= 1, and `brute_force_oracle` enumerates
-polytope vertices outright on tiny instances.
+polytope vertices outright on tiny instances. It calls no simplex code: it
+checks every set of n+m-1 cells for a basis by the determinant of its
+incidence matrix and solves the bases' flows in batches.
 
 Costs are |x-y|^p in double precision; the p-th root is taken once on the
 final optimal cost. Values below 1e-12 are clamped to zero to stay aligned
@@ -462,6 +464,7 @@ def wasserstein_1d_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2
 
 MAX_PERMUTATION_SIZE = 7
 MAX_ENUM_SUPPORT = 10
+_CHUNK = 1 << 14  # cell subsets per batch, which bounds the oracle's memory
 
 
 def _is_uniform(w: np.ndarray) -> bool:
@@ -470,86 +473,50 @@ def _is_uniform(w: np.ndarray) -> bool:
 
 def _best_permutation(C: np.ndarray, a: np.ndarray):
     n = C.shape[0]
-    rows = np.arange(n)
-    best_cost = np.inf
-    best_perm = None
-    for perm in itertools.permutations(range(n)):
-        c = float(np.dot(a, C[rows, perm]))
-        if c < best_cost:
-            best_cost = c
-            best_perm = perm
-    return best_cost, best_perm
+    perms = np.array(list(itertools.permutations(range(n))))
+    costs = C[np.arange(n), perms] @ a
+    k = int(costs.argmin())
+    return float(costs[k]), perms[k]
 
 
 def _best_tree_vertex(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Minimum cost over all basic feasible solutions.
 
-    Every vertex of the coupling polytope is the flow vector of some
-    spanning tree of the complete bipartite support graph, so enumerating
-    trees (union-find with rollback, dead-branch pruning) covers them all.
+    Every vertex of the coupling polytope is the flow on a basis: n+m-1
+    cells whose node-cell incidence matrix, with the last column's equation
+    dropped (it follows from the others), is invertible. That matrix is
+    square and unimodular, so its determinant is exactly 0 or +-1. Cell
+    subsets are checked and solved `_CHUNK` at a time, and the cheapest
+    nonnegative flow wins (first in subset order among equal costs).
     """
     n, m = C.shape
-    V = n + m
-    need = V - 1
-    edges = [(i, j) for i in range(n) for j in range(m)]
-    E = len(edges)
-    parent = list(range(V))
-    size = [1] * V
-    avail = [m] * n + [n] * m
-    attached = [0] * V
-    chosen: list[int] = []
-    best = {"cost": np.inf, "cells": None, "flow": None}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def record() -> None:
-        cells = [edges[k] for k in chosen]
-        flow = _tree_flows(cells, a, b)
-        if float(flow.min()) < -1e-15:
-            return
-        flow = np.maximum(flow, 0.0)
-        idx = np.array(cells, dtype=int)
-        cost = float(np.dot(flow, C[idx[:, 0], idx[:, 1]]))
-        if cost < best["cost"]:
-            best["cost"] = cost
-            best["cells"] = cells
-            best["flow"] = flow
-
-    def recurse(e_idx: int) -> None:
-        if len(chosen) == need:
-            record()
-            return
-        if E - e_idx < need - len(chosen):
-            return
-        i, j = edges[e_idx]
-        x, y = i, n + j
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            if size[rx] < size[ry]:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            size[rx] += size[ry]
-            attached[x] += 1
-            attached[y] += 1
-            chosen.append(e_idx)
-            recurse(e_idx + 1)
-            chosen.pop()
-            attached[x] -= 1
-            attached[y] -= 1
-            size[rx] -= size[ry]
-            parent[ry] = ry
-        avail[x] -= 1
-        avail[y] -= 1
-        if (avail[x] > 0 or attached[x] > 0) and (avail[y] > 0 or attached[y] > 0):
-            recurse(e_idx + 1)
-        avail[x] += 1
-        avail[y] += 1
-
-    recurse(0)
-    return best["cost"], best["cells"], best["flow"]
+    k = n + m - 1
+    cells = np.arange(n * m)
+    A = np.zeros((n + m, n * m))  # cell i*m+j meets row node i and column node n+j
+    A[cells // m, cells] = 1.0
+    A[n + cells % m, cells] = 1.0
+    A = A[:-1]
+    rhs = np.concatenate([a, b[:-1]])
+    costs_flat = C.ravel()
+    best_cost, best_cells, best_flow = np.inf, None, None
+    subsets = itertools.combinations(range(n * m), k)
+    while True:
+        S = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, _CHUNK)),
+                        dtype=np.intp).reshape(-1, k)
+        if S.shape[0] == 0:
+            return best_cost, best_cells, best_flow
+        M = np.moveaxis(A[:, S], 1, 0)
+        basis = np.abs(np.linalg.det(M)) > 0.5
+        S = S[basis]
+        rhs_stack = np.broadcast_to(rhs[:, None], (S.shape[0], k, 1))
+        flow = np.linalg.solve(M[basis], rhs_stack)[..., 0]
+        feasible = flow.min(axis=1) >= -1e-15
+        S = S[feasible]
+        flow = np.maximum(flow[feasible], 0.0)
+        costs = (flow * costs_flat[S]).sum(axis=1)
+        if costs.shape[0] and costs.min() < best_cost:
+            i = int(costs.argmin())
+            best_cost, best_cells, best_flow = float(costs[i]), S[i], flow[i]
 
 
 def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0) -> TransportResult:
@@ -569,14 +536,11 @@ def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0)
 
     if n == m and n <= MAX_PERMUTATION_SIZE and _is_uniform(mu.weights) and _is_uniform(nu.weights):
         cost, perm = _best_permutation(C, mu.weights)
-        rows = np.arange(n)
-        cols = np.array(perm, dtype=int)
-        return _finish(mu, nu, p, rows, cols, mu.weights.copy(), cost, "bruteforce")
+        return _finish(mu, nu, p, np.arange(n), perm, mu.weights.copy(), cost, "bruteforce")
 
     if n + m <= MAX_ENUM_SUPPORT:
         cost, cells, flow = _best_tree_vertex(C, mu.weights, nu.weights)
-        idx = np.array(cells, dtype=int)
-        return _finish(mu, nu, p, idx[:, 0], idx[:, 1], flow, cost, "bruteforce")
+        return _finish(mu, nu, p, cells // m, cells % m, flow, cost, "bruteforce")
 
     raise InstanceTooLarge(
         f"brute force supports uniform n=m<={MAX_PERMUTATION_SIZE} or "

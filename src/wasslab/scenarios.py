@@ -447,8 +447,7 @@ def _run_lift_demo(cfg: ScenarioConfig) -> Report:
     rays = [lifted_ray(U, m) for m in corpus[2:6]]
     rep_ok = True
     for omega in corpus[:2]:
-        rep = representation_check(U, omega, rays, tol=1e-6,
-                                   estimator_t_max=1e4)
+        rep = representation_check(U, omega, rays)
         rep_ok = rep_ok and rep["verdict"] == PASS
 
     report.verdicts = {

@@ -52,6 +52,8 @@ WITNESS_EPS = 1e-6        # default analytic-witness slack
 PROBE_TS = (0.0, 1.0, 10.0)  # spans on which representation_check probes each ray
 PROBE_TOL = 1e-8             # allowed gap between a probed drop and its span
 ESTIMATOR_TOL = 1e-6         # doubling-increment tolerance of horizon estimates
+ESTIMATOR_T_MAX = 1e4        # largest span of a horizon estimate in representation_check
+REPRESENTATION_TOL = 1e-6    # allowed representation slack and own-ray horizon
 
 
 class MeasureField:
@@ -460,17 +462,18 @@ class DescentPolyline:
     epsilon: float
     p: float
 
-    def check_inequality(self, tol: float = 1e-9) -> bool:
+    def check_inequality(self) -> bool:
+        """Both bounds above, each up to 1e-9 of round-off."""
         k = len(self.vertices)
         for i in range(k):
             for j in range(i + 1, k):
                 lhs = self.values[i] - self.values[j]
                 rhs = (self.times[j] - self.times[i]) - self.epsilon
-                if lhs < rhs - tol:
+                if lhs < rhs - 1e-9:
                     return False
         if k > 1:
             span = wasserstein_exact(self.vertices[0], self.vertices[-1], self.p).value
-            if span < self.times[-1] - self.epsilon - tol:
+            if span < self.times[-1] - self.epsilon - 1e-9:
                 return False
         return True
 
@@ -534,8 +537,7 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
 
 
 def representation_check(U: MeasureField, omega: DiscreteMeasure,
-                         rays: Sequence[WassersteinRay], tol: float = 1e-6,
-                         estimator_t_max: float = 1e6) -> dict:
+                         rays: Sequence[WassersteinRay]) -> dict:
     """Horizon representation of U: value = inf over descent rays of
     [value at the ray start + horizon function of the ray].
 
@@ -557,9 +559,9 @@ def representation_check(U: MeasureField, omega: DiscreteMeasure,
                 raise InvalidRay(
                     f"ray {idx} drops {drop} over span {t}; not a descent ray of U"
                 )
-        b = busemann_estimate(ray, omega, tol=ESTIMATOR_TOL, t_max=estimator_t_max)
+        b = busemann_estimate(ray, omega, tol=ESTIMATOR_TOL, t_max=ESTIMATOR_T_MAX)
         slack = (v0 + b.value) - U.evaluate(omega)
-        ok = slack >= -tol
+        ok = slack >= -REPRESENTATION_TOL
         passed = passed and ok
         ray_reports.append({
             "start_value": v0,
@@ -574,8 +576,8 @@ def representation_check(U: MeasureField, omega: DiscreteMeasure,
     except UnsupportedField:
         own = None
     if own is not None:
-        b_own = busemann_estimate(own, omega, tol=ESTIMATOR_TOL, t_max=estimator_t_max)
-        ok = abs(b_own.value) <= tol
+        b_own = busemann_estimate(own, omega, tol=ESTIMATOR_TOL, t_max=ESTIMATOR_T_MAX)
+        ok = abs(b_own.value) <= REPRESENTATION_TOL
         passed = passed and ok
         own_report = {"busemann": b_own.value, "ok": ok}
     return {
@@ -584,10 +586,10 @@ def representation_check(U: MeasureField, omega: DiscreteMeasure,
         "rays": ray_reports,
         "own_ray": own_report,
         "params": {
-            "tol": tol,
+            "tol": REPRESENTATION_TOL,
             "probe_ts": list(PROBE_TS),
             "estimator_tol": ESTIMATOR_TOL,
-            "estimator_t_max": estimator_t_max,
+            "estimator_t_max": ESTIMATOR_T_MAX,
         },
     }
 

@@ -73,6 +73,26 @@ def test_brute_force_examples():
     with pytest.raises(InstanceTooLarge):
         brute_force_oracle(random_measure(rng, 8, 1, min_atoms=8),
                            random_measure(rng, 8, 1, min_atoms=8), 2.0)
+    # n + m = 10 is the largest enumerated support; one atom more is refused
+    mu = random_measure(rng, 2, 2, min_atoms=2)
+    nu = random_measure(rng, 8, 2, min_atoms=8)
+    ref = wasserstein_exact(mu, nu, 2.0).value
+    assert abs(brute_force_oracle(mu, nu, 2.0).value - ref) <= 1e-9
+    with pytest.raises(InstanceTooLarge):
+        brute_force_oracle(random_measure(rng, 3, 2, min_atoms=3), nu, 2.0)
+
+
+def test_brute_force_calls_no_simplex_code(monkeypatch):
+    rng = np.random.default_rng(3)
+    mu = random_measure(rng, 3, 2, min_atoms=3)
+    nu = random_measure(rng, 4, 2, min_atoms=4)
+    before = brute_force_oracle(mu, nu, 2.0).value
+
+    def forbidden(*args):
+        raise AssertionError("the enumeration oracle called into the simplex")
+    for name in ("_tree_flows", "_simplex_basis", "_certify", "_northwest"):
+        monkeypatch.setattr(ot_exact, name, forbidden)
+    assert abs(brute_force_oracle(mu, nu, 2.0).value - before) <= 1e-12
 
 
 def test_error_contracts():
@@ -145,8 +165,10 @@ def test_oracle_agreement_tiny():
         else:
             mu = random_measure(rng, 4, d)
             nu = random_measure(rng, 5, d)
-        assert abs(wasserstein_exact(mu, nu, p).value
-                   - brute_force_oracle(mu, nu, p).value) <= 1e-9
+        ref = brute_force_oracle(mu, nu, p)
+        assert abs(wasserstein_exact(mu, nu, p).value - ref.value) <= 1e-9
+        assert ref.plan.n_entries <= mu.n_atoms + nu.n_atoms - 1
+        ref.plan.validate()
 
 
 def test_degenerate_marginals_do_not_stall():

@@ -295,7 +295,7 @@ def test_representation_check_pass_and_invalid_ray():
     U = lift(BusemannField(E1, 0.3), 2.0)
     rays = [lifted_ray(U, random_measure(rng, 3, 2, box=2.0)) for _ in range(5)]
     omega = random_measure(rng, 3, 2, box=2.0)
-    rep = representation_check(U, omega, rays, tol=1e-6, estimator_t_max=1e4)
+    rep = representation_check(U, omega, rays)
     assert rep["verdict"] == "PASS"
     assert abs(rep["own_ray"]["busemann"]) <= 1e-6
     for entry in rep["rays"]:
@@ -303,7 +303,7 @@ def test_representation_check_pass_and_invalid_ray():
 
     wrong = WassersteinRay.from_base_field(BusemannField(E2), omega, 2.0)
     with pytest.raises(InvalidRay):
-        representation_check(U, omega, [wrong], tol=1e-6)
+        representation_check(U, omega, [wrong])
 
 
 def test_dlg_to_dlc_consistency():
