@@ -13,7 +13,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, EmptyCollection, ParseError, UnsupportedField
+from .errors import (
+    DimensionError,
+    DomainError,
+    EmptyCollection,
+    ParseError,
+    UnsupportedField,
+    json_numbers,
+)
 
 # Unit vectors are accepted as-is within UNIT_TOL, silently renormalized when
 # within UNIT_FIX of unit norm, and rejected beyond that.
@@ -313,13 +320,14 @@ def base_field_from_config(cfg: dict) -> ScalarField:
     variant = cfg.get("variant")
     try:
         if variant == "busemann":
-            return BusemannField(np.asarray(cfg["direction"], dtype=float),
-                                 float(cfg.get("offset", 0.0)))
+            return BusemannField(np.asarray(json_numbers(cfg["direction"]), dtype=float),
+                                 float(json_numbers(cfg.get("offset", 0.0))))
         if variant == "min":
             return min_combine([base_field_from_config(f) for f in cfg["fields"]])
         if variant == "distance":
-            return DistanceField(np.asarray(cfg["points"], dtype=float),
-                                 int(cfg.get("sign", -1)))
+            # DistanceField itself refuses a sign other than -1 or +1
+            return DistanceField(np.asarray(json_numbers(cfg["points"]), dtype=float),
+                                 json_numbers(cfg.get("sign", -1)))
     except KeyError as exc:
         raise ParseError(
             f"{variant} base field config is missing the {exc.args[0]!r} entry"

@@ -18,7 +18,7 @@ import sys
 
 from .acceptance import run_all
 from .discrete_measure import DiscreteMeasure
-from .errors import DescentStalled, DomainError, ParseError, WasslabError
+from .errors import DescentStalled, DomainError, ParseError, WasslabError, is_number
 from .ot_exact import wasserstein_exact
 from .scenarios import (
     ScenarioConfig,
@@ -51,14 +51,10 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _number(cfg: dict, key: str, default, kind=float):
     """Config entry `key` converted by `kind`; a value of another JSON type is a ParseError."""
     value = cfg.get(key, default)
-    if not _is_number(value):
+    if not is_number(value):
         raise ParseError(f"config entry {key!r} must be a number, got {value!r}")
     try:
         return kind(value)
@@ -69,7 +65,7 @@ def _number(cfg: dict, key: str, default, kind=float):
 def _numbers(cfg: dict, key: str, default) -> tuple:
     """Config entry `key`, which must be a list of numbers, as given."""
     values = cfg.get(key, default)
-    if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
+    if not isinstance(values, (list, tuple)) or not all(map(is_number, values)):
         raise ParseError(f"config entry {key!r} must be a list of numbers, got {values!r}")
     return tuple(values)
 

@@ -23,6 +23,7 @@ from .errors import (
     MapRangeError,
     NotNormalized,
     ParseError,
+    json_numbers,
 )
 
 MERGE_TOL = 1e-12    # support points closer than this are one atom
@@ -76,9 +77,11 @@ class DiscreteMeasure:
         except KeyError as exc:
             raise ParseError(f"measure is missing the {exc.args[0]!r} entry") from exc
         try:
-            support = np.asarray(support, dtype=float)
-            weights = np.asarray(weights, dtype=float)
-            dim = int(obj["dim"]) if "dim" in obj else None
+            support = np.asarray(json_numbers(support), dtype=float)
+            weights = np.asarray(json_numbers(weights), dtype=float)
+            dim = json_numbers(obj["dim"]) if "dim" in obj else None
+            if dim is not None and dim != int(dim):
+                raise ValueError(f"dim {dim!r} is not a whole number")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"measure entries must be numbers: {exc}") from exc
         if support.ndim < 2:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON-number rule of its parsers."""
 
 
 class WasslabError(Exception):
@@ -67,6 +67,25 @@ class InvalidRay(WasslabError):
 
 class ParseError(WasslabError):
     """Malformed input file."""
+
+
+def is_number(value) -> bool:
+    """True for a JSON number: an int or a float, never a bool or a numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_numbers(value):
+    """`value` if it is a JSON number or a list, flat or nested, of them; else TypeError.
+
+    Parsers pass every numeric entry through it inside the `try` that turns
+    a TypeError into their `ParseError`.
+    """
+    if isinstance(value, list):
+        for x in value:
+            json_numbers(x)
+    elif not is_number(value):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return value
 
 
 class InvalidMeasure(WasslabError):

@@ -1,26 +1,30 @@
 """Exact p-Wasserstein distances and optimal couplings for discrete measures.
 
 `wasserstein_exact` runs a network simplex on the transportation problem
-and returns an optimal vertex of the coupling polytope. The basis is a
+and returns an optimal vertex of the coupling polytope. The basis is one
 spanning tree over the n source rows and m target columns, rooted at row 0
 and held as parent, depth and parent-edge flow arrays plus an adjacency
-list updated in place. It starts from the northwest corner, which is
-already optimal on the line because supports are stored sorted. Pricing
-is Dantzig's: the cell of most negative reduced cost C_ij - u_i - v_j
-enters. Its cycle is found by walking both ends up to their common
-ancestor, and after the pivot only the subtree that re-hangs on the
-entering cell has its depths and potentials updated. A pivot that would
-move no mass is degenerate. Every degenerate pivot follows Bland's rule
-(Bland 1977: lowest-index entering and leaving cells), and a cycle of
-pivots would consist of degenerate pivots only, so the simplex cannot
-cycle; Cunningham (1976) gives the other classical guard, strongly
-feasible trees. The method is the network simplex behind the `emd` solver
-of Bonneel, van de Panne, Paris and Heidrich (SIGGRAPH Asia 2011).
+list updated in place, from the start to the plan. The northwest corner
+builds it: each staircase cell hangs one new node on an end already in the
+tree and fixes that node's potential. This start is already optimal on the
+line because supports are stored sorted. Pricing is Dantzig's: the cell
+of most negative reduced cost C_ij - u_i - v_j enters. Its cycle is found
+by walking both ends up to their common ancestor, and after the pivot only
+the subtree that re-hangs on the entering cell has its depths and
+potentials updated. A pivot that would move no mass is degenerate. Every
+degenerate pivot follows Bland's rule (Bland 1977: lowest-index entering
+and leaving cells), and a cycle of pivots would consist of degenerate
+pivots only, so the simplex cannot cycle; Cunningham (1976) gives the
+other classical guard, strongly feasible trees. The method is the network
+simplex behind the `emd` solver of Bonneel, van de Panne, Paris and
+Heidrich (SIGGRAPH Asia 2011).
 
-The flows are re-solved on the final tree from the original marginals, and
-the tree's potentials (u, v) must certify the plan: u_i + v_j <= C_ij on
-every cell and a.u + b.v equal to the plan's cost, both on the unit-scaled
-cost matrix. A failed certificate raises `NumericalInconsistency`.
+At optimality the flows are re-solved on the same tree from the original
+marginals, children before parents, since a parent edge carries the net
+supply of the subtree below it. The tree's potentials (u, v) must certify
+the plan: u_i + v_j <= C_ij on every cell and a.u + b.v equal to the
+plan's cost, both on the unit-scaled cost matrix. A failed certificate
+raises `NumericalInconsistency`.
 
 Solves are memoized: a module-level LRU of the last `MEMO_SIZE` distinct
 solves, keyed on the bytes of both measures and on p, serves a repeated
@@ -174,62 +178,46 @@ def _product_plan(mu, nu, p, C, solver) -> TransportResult:
 # transportation simplex
 # ---------------------------------------------------------------------------
 
-def _northwest(a: np.ndarray, b: np.ndarray):
-    """Northwest-corner start: n+m-1 basis cells with their allocations."""
-    n, m = a.shape[0], b.shape[0]
-    ra, rb = a.tolist(), b.tolist()
-    cells: list[tuple[int, int]] = []
-    flows: list[float] = []
-    i = j = 0
-    while True:
-        t = ra[i] if ra[i] <= rb[j] else rb[j]
-        cells.append((i, j))
-        flows.append(max(t, 0.0))
-        ra[i] -= t
-        rb[j] -= t
-        if i == n - 1 and j == m - 1:
-            break
-        # advance exactly one index per step; on a tie close the row so the
-        # basis keeps n+m-1 cells and stays a spanning tree
-        if ra[i] <= rb[j] and i < n - 1:
-            i += 1
-        elif j < m - 1:
-            j += 1
-        else:
-            i += 1
-    return cells, flows
-
-
 def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Optimal basis tree and its potentials (u, v) by the network simplex.
+    """Optimal basis by the network simplex: its plan and potentials (u, v).
 
     Nodes are the rows 0..n-1 and the columns n..n+m-1; the basis is a
     spanning tree rooted at row 0, held as `parent`, `depth`, the flow on
-    each node's parent edge and an adjacency list updated in place.
+    each node's parent edge and an adjacency list updated in place. The
+    northwest pass builds it: each staircase cell joins one new node to an
+    end already in the tree. At optimality the flows are re-solved from a
+    and b on that tree, and the plan comes back as (rows, cols, flow)
+    sorted by (row, col).
     """
     n, m = C.shape
     N = n + m
-    cells, flows = _northwest(a, b)
     adj: list[list[int]] = [[] for _ in range(N)]
-    for i, j in cells:
-        adj[i].append(n + j)
-        adj[n + j].append(i)
     parent = [-1] * N
     depth = [0] * N
     flow = [0.0] * N           # mass on the cell joining x to parent[x]
     pot = np.zeros(N)          # u = pot[:n], v = pot[n:]; u_i + v_j = C_ij on the tree
     u, v = pot[:n], pot[n:]
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                pot[y] = (C[x, y - n] if x < n else C[y, x - n]) - pot[x]
-                stack.append(y)
-    for (i, j), f in zip(cells, flows):
-        flow[i if parent[i] == n + j else n + j] = f
+    ra, rb = a.tolist(), b.tolist()
+    i = j = 0
+    x, px = n, 0               # the new node of cell (i, j) and its end in the tree
+    while True:
+        t = ra[i] if ra[i] <= rb[j] else rb[j]
+        ra[i] -= t
+        rb[j] -= t
+        parent[x], depth[x], flow[x] = px, depth[px] + 1, max(t, 0.0)
+        pot[x] = C[i, j] - pot[px]
+        adj[x].append(px)
+        adj[px].append(x)
+        if i == n - 1 and j == m - 1:
+            break
+        # advance exactly one index per step; on a tie close the row so the
+        # basis keeps n+m-1 cells and stays a spanning tree
+        if (ra[i] <= rb[j] and i < n - 1) or j == m - 1:
+            i += 1
+            x, px = i, n + j
+        else:
+            j += 1
+            x, px = n + j, i
 
     def cell_index(x: int) -> int:  # Bland's order of the cell above node x
         return x * m + parent[x] - n if x < n else parent[x] * m + x - n
@@ -260,9 +248,16 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         R = C - u[:, None] - v[None, :]
         k = int(R.argmin())
         if not R.flat[k] < -_ENTER_TOL:   # also stops on a NaN cost (overflow)
-            tree = sorted((x, parent[x] - n) if x < n else (parent[x], x - n)
-                          for x in range(1, N))
-            return tree, u, v
+            # a parent edge carries the net supply of the subtree below it,
+            # so children settle before their parents
+            left = a.tolist() + b.tolist()
+            for x in sorted(range(1, N), key=depth.__getitem__, reverse=True):
+                flow[x] = left[x]
+                left[parent[x]] -= left[x]
+            nodes = sorted(range(1, N), key=cell_index)  # the plan in (row, col) order
+            rows = [x if x < n else parent[x] for x in nodes]
+            cols = [parent[x] - n if x < n else x - n for x in nodes]
+            return np.array(rows), np.array(cols), np.array([flow[x] for x in nodes]), u, v
         down, up, theta = cycle(k)
         if theta <= _DEGENERATE_MASS:
             # every degenerate pivot follows Bland's rule, so none can cycle
@@ -298,39 +293,6 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray):
             pot[x] += d if x < n else -d
             stack.extend(y for y in adj[x] if y != parent[x])
     raise SolverStalled(f"simplex exceeded {cap} pivots on a {n}x{m} instance")
-
-
-def _tree_flows(cells, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact flows on a spanning-tree basis by leaf elimination."""
-    n, m = a.shape[0], b.shape[0]
-    V = n + m
-    deg = [0] * V
-    incident: list[list[int]] = [[] for _ in range(V)]
-    for k, (i, j) in enumerate(cells):
-        deg[i] += 1
-        deg[n + j] += 1
-        incident[i].append(k)
-        incident[n + j].append(k)
-    balance = a.tolist() + b.tolist()
-    used = [False] * len(cells)
-    flow = [0.0] * len(cells)
-    leaves = [x for x in range(V) if deg[x] == 1]
-    while leaves:
-        x = leaves.pop()
-        k = next((kk for kk in incident[x] if not used[kk]), None)
-        if k is None:
-            continue
-        used[k] = True
-        i, j = cells[k]
-        other = (n + j) if x == i else i
-        flow[k] = balance[x]
-        balance[other] -= balance[x]
-        balance[x] = 0.0
-        deg[x] -= 1
-        deg[other] -= 1
-        if deg[other] == 1:
-            leaves.append(other)
-    return np.array(flow)
 
 
 def _certify(Cs, a, b, u, v, rows, cols, flow) -> None:
@@ -392,8 +354,7 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportResul
     a, b = mu.weights, nu.weights
     scale = float(C.max())
     Cs = C / scale if scale > 0.0 else C
-    cells, u, v = _simplex_basis(Cs, a, b)
-    flow = _tree_flows(cells, a, b)
+    rows, cols, flow, u, v = _simplex_basis(Cs, a, b)
     if float(flow.min()) < -1e-9:
         raise NumericalInconsistency(
             f"basis re-solve produced flow {float(flow.min()):.3e} < 0"
@@ -401,8 +362,6 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportResul
     # masses below the weight resolution of a measure are round-off, such as a
     # last-bit mismatch of the two weight totals carried along the tree
     flow[flow < PRUNE_TOL] = 0.0
-    idx = np.array(cells, dtype=int)
-    rows, cols = idx[:, 0], idx[:, 1]
     if np.isfinite(scale):  # an overflowed |x-y|^p has no certificate to check
         _certify(Cs, a, b, u, v, rows, cols, flow)
     cost = float(np.dot(flow, C[rows, cols]))
@@ -487,7 +446,9 @@ def _best_tree_vertex(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     dropped (it follows from the others), is invertible. That matrix is
     square and unimodular, so its determinant is exactly 0 or +-1. Cell
     subsets are checked and solved `_CHUNK` at a time, and the cheapest
-    nonnegative flow wins (first in subset order among equal costs).
+    nonnegative flow wins (first in subset order among equal costs). With
+    no finite vertex cost, as when |x-y|^p overflows, it raises
+    `NumericalInconsistency`.
     """
     n, m = C.shape
     k = n + m - 1
@@ -504,6 +465,8 @@ def _best_tree_vertex(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         S = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, _CHUNK)),
                         dtype=np.intp).reshape(-1, k)
         if S.shape[0] == 0:
+            if best_cells is None:  # every vertex cost is inf or nan: |x-y|^p overflowed
+                raise NumericalInconsistency("no vertex of the coupling polytope has a finite cost")
             return best_cost, best_cells, best_flow
         M = np.moveaxis(A[:, S], 1, 0)
         basis = np.abs(np.linalg.det(M)) > 0.5

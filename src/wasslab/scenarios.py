@@ -89,22 +89,6 @@ class Report:
     expected_ok: bool = True
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
-
-
 def read_json(path):
     """Parse a JSON file; IoError when it cannot be read, ParseError when malformed."""
     try:
@@ -156,8 +140,8 @@ def emit_report(report: Report, out_dir) -> list[Path]:
         paths = []
         doc = {
             "scenario": report.scenario,
-            "verdicts": _jsonable(report.verdicts),
-            "stamp": _jsonable(report.stamp),
+            "verdicts": report.verdicts,
+            "stamp": report.stamp,
             "expected_ok": bool(report.expected_ok),
             "tables": sorted(report.tables),
         }

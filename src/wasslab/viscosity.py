@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     SphereSamplingFailed,
     UnsupportedField,
+    json_numbers,
 )
 from .ot_exact import wasserstein_exact
 from .wgeom import (
@@ -604,14 +605,14 @@ def measure_field_from_config(cfg: dict, default_p: float = 2.0) -> MeasureField
         raise ParseError(f"a measure field config must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
     try:
-        p = float(cfg.get("p", default_p))
+        p = float(json_numbers(cfg.get("p", default_p)))
         if kind == "lifted":
             return lift(base_field_from_config(cfg["base"]), p)
         if kind == "distance_to":
             target = DiscreteMeasure.from_json_dict(cfg["target"])
-            return DistanceToField(target, float(cfg.get("offset", 0.0)), p)
+            return DistanceToField(target, float(json_numbers(cfg.get("offset", 0.0))), p)
         if kind == "constant":
-            return ConstantField(float(cfg["value"]), p)
+            return ConstantField(float(json_numbers(cfg["value"])), p)
         if kind == "inf":
             return inf_of_fields([measure_field_from_config(m, p) for m in cfg["members"]])
     except KeyError as exc:

@@ -21,6 +21,11 @@ TWO_BY_TWO = (
 )
 
 
+def northwest_2x2():
+    """Rows, cols and flows of the northwest plan between two uniform 2-atom measures."""
+    return np.array([0, 1, 1]), np.array([0, 0, 1]), np.array([0.5, 0.0, 0.5])
+
+
 def test_dirac_pair():
     assert wasserstein_exact(dirac([0.0]), dirac([3.0]), 2.0).value == 3.0
 
@@ -90,9 +95,18 @@ def test_brute_force_calls_no_simplex_code(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("the enumeration oracle called into the simplex")
-    for name in ("_tree_flows", "_simplex_basis", "_certify", "_northwest"):
+    for name in ("_simplex_basis", "_certify"):
         monkeypatch.setattr(ot_exact, name, forbidden)
     assert abs(brute_force_oracle(mu, nu, 2.0).value - before) <= 1e-12
+
+
+def test_brute_force_raises_when_every_vertex_cost_overflows():
+    # 2000**120 overflows, so every vertex costs inf or nan (0 * inf)
+    mu = validate_measure([[0.0], [1.0]], [0.3, 0.7])
+    nu = validate_measure([[2000.0], [2002.5], [2010.0]], [0.2, 0.5, 0.3])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalInconsistency, match="finite cost"):
+        brute_force_oracle(mu, nu, 120.0)
 
 
 def test_error_contracts():
@@ -260,6 +274,29 @@ def test_degenerate_grids_match_enumeration(pair):
         res.plan.validate(1e-10)
 
 
+@st.composite
+def _weighted_pair(draw):
+    """Random atoms in d = 1..3 with non-uniform weights, 2..12 atoms a side."""
+    d = draw(st.integers(1, 3))
+
+    def measure(n):
+        point = st.tuples(*[st.floats(-10.0, 10.0)] * d)
+        x = draw(st.lists(point, min_size=n, max_size=n, unique=True))
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        return validate_measure(np.array(x), w / w.sum())
+    return measure(draw(st.integers(2, 12))), measure(draw(st.integers(2, 12)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_weighted_pair(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_resolved_flows_match_both_marginals_and_come_sorted(pair, p):
+    mu, nu = pair
+    plan = wasserstein_exact(mu, nu, p).plan
+    assert np.abs(plan.row_sums() - mu.weights).max() <= 1e-14
+    assert np.abs(plan.col_sums() - nu.weights).max() <= 1e-14
+    assert np.all(np.diff(plan.rows * nu.n_atoms + plan.cols) > 0)
+
+
 def test_line_500_atoms_matches_quantile_oracle():
     rng = np.random.default_rng(12)
     mu = validate_measure(rng.uniform(-10, 10, (500, 1)), np.full(500, 1.0 / 500))
@@ -302,12 +339,14 @@ def test_certificate_rejects_a_non_optimal_basis(monkeypatch):
     nu = validate_measure([[0.0, 5.0], [1.0, 0.0]], [0.5, 0.5])
     assert abs(wasserstein_exact(mu, nu, 1.0).value - 1.0) <= 1e-12
 
+    # on a zero cost the northwest start is optimal, so the simplex returns it as built
+    rows, cols, flow, _, _ = ot_exact._simplex_basis(np.zeros((2, 2)), mu.weights, nu.weights)
+    assert [x.tolist() for x in (rows, cols, flow)] == [x.tolist() for x in northwest_2x2()]
+
     def northwest_tree(C, a, b):
-        cells, _ = ot_exact._northwest(a, b)
-        assert cells == [(0, 0), (1, 0), (1, 1)]
         v0 = C[0, 0]
         u1 = C[1, 0] - v0
-        return cells, np.array([0.0, u1]), np.array([v0, C[1, 1] - u1])
+        return (*northwest_2x2(), np.array([0.0, u1]), np.array([v0, C[1, 1] - u1]))
     monkeypatch.setattr(ot_exact, "_simplex_basis", northwest_tree)
     ot_exact._memo.clear()  # else the memo serves the first solve again
     with pytest.raises(NumericalInconsistency, match="certificate"):
@@ -363,8 +402,7 @@ def test_memo_never_stores_a_raise(monkeypatch):
     assert not ot_exact._memo
 
     def non_optimal_tree(C, a, b):
-        cells, _ = ot_exact._northwest(a, b)
-        return cells, np.zeros(a.shape[0]), np.zeros(b.shape[0])
+        return (*northwest_2x2(), np.zeros(a.shape[0]), np.zeros(b.shape[0]))
     monkeypatch.setattr(ot_exact, "_simplex_basis", non_optimal_tree)
     for _ in range(2):
         with pytest.raises(NumericalInconsistency, match="certificate"):

@@ -224,6 +224,12 @@ def _malformed_inputs(tmp_path):
     list_omega = tmp_path / "list_omega.json"
     list_omega.write_text(json.dumps({"field": {"kind": "constant", "value": 1.0},
                                       "omega": [1, 2]}))
+    string_weights = tmp_path / "string_weights.json"
+    string_weights.write_text(json.dumps([{"support": [[0.0], [1.0]], "weights": ["0.5", "0.5"]},
+                                          {"support": [[2.0]], "weights": [1.0]}]))
+    fractional_dim = tmp_path / "fractional_dim.json"
+    fractional_dim.write_text(json.dumps([{"dim": 1.7, "support": [[0.0]], "weights": [1.0]},
+                                          {"support": [[2.0]], "weights": [1.0]}]))
     wrong_leaves = {
         "support-string": {"field": {"kind": "constant", "value": 1.0},
                            "omega": {"support": "abc", "weights": [1.0]}},
@@ -234,6 +240,15 @@ def _malformed_inputs(tmp_path):
         "direction-string": {"field": {"kind": "lifted",
                                        "base": {"variant": "busemann", "direction": "abc"}},
                              "omega": {"support": [[0.0]], "weights": [1.0]}},
+        # numeric strings and booleans are not JSON numbers
+        "p-string": {"field": {"kind": "lifted", "p": "2",
+                               "base": {"variant": "busemann", "direction": [1.0]}},
+                     "omega": {"support": [[0.0]], "weights": [1.0]}},
+        "sign-bool": {"field": {"kind": "lifted",
+                                "base": {"variant": "distance", "points": [[0.0]], "sign": True}},
+                      "omega": {"support": [[0.0], [1.0]], "weights": [0.5, 0.5]}},
+        "value-bool": {"field": {"kind": "constant", "value": True},
+                       "omega": {"support": [[0.0], [1.0]], "weights": [0.5, 0.5]}},
     }
     # well-typed entries out of their verdict's domain
     unit_slope = {"field": {"kind": "lifted",
@@ -258,6 +273,8 @@ def _malformed_inputs(tmp_path):
         "check-viscosity-omega-no-support": ["check-viscosity", str(no_support)],
         "check-viscosity-int-field": ["check-viscosity", str(int_field)],
         "check-viscosity-list-omega": ["check-viscosity", str(list_omega)],
+        "wp-weights-string": ["wp", str(string_weights)],
+        "wp-dim-fractional": ["wp", str(fractional_dim)],
         "wp-j-too-large": ["wp", str(measures), "--j", "5"],
         "wp-i-negative": ["wp", str(measures), "--i", "-1"],
         "geodesic-i-too-large": ["geodesic", str(measures), "--i", "9"],
@@ -273,8 +290,9 @@ def _malformed_inputs(tmp_path):
     "check-viscosity-support-string", "check-viscosity-members-int",
     "check-viscosity-radii-string", "check-viscosity-direction-string",
     "check-viscosity-eps-negative", "check-viscosity-eps-one",
-    "check-viscosity-levels-empty",
-    "wp-j-too-large", "wp-i-negative", "geodesic-i-too-large", "reproduce-ex3-p3",
+    "check-viscosity-levels-empty", "check-viscosity-p-string",
+    "check-viscosity-sign-bool", "check-viscosity-value-bool",
+    "wp-weights-string", "wp-dim-fractional", "wp-j-too-large", "wp-i-negative", "geodesic-i-too-large", "reproduce-ex3-p3",
     "acceptance-no-match",
 ])
 def test_cli_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
