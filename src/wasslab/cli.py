@@ -52,14 +52,20 @@ def _load_config(path: str) -> dict:
 
 
 def _number(cfg: dict, key: str, default, kind=float):
-    """Config entry `key` converted by `kind`; a value of another JSON type is a ParseError."""
+    """Config entry `key` converted by `kind`; a value of another JSON type is a ParseError.
+
+    With `kind=int` the entry must be a whole number: 8.0 is read as 8, 8.7 is refused.
+    """
     value = cfg.get(key, default)
     if not is_number(value):
         raise ParseError(f"config entry {key!r} must be a number, got {value!r}")
     try:
-        return kind(value)
+        out = kind(value)
     except (OverflowError, ValueError) as exc:  # int() of inf or nan, float() of a huge int
         raise ParseError(f"config entry {key!r} is out of range: {value!r}") from exc
+    if kind is int and out != value:  # int() would truncate
+        raise ParseError(f"config entry {key!r} must be a whole number, got {value!r}")
+    return out
 
 
 def _numbers(cfg: dict, key: str, default) -> tuple:

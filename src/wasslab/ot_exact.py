@@ -6,9 +6,13 @@ spanning tree over the n source rows and m target columns, rooted at row 0
 and held as parent, depth and parent-edge flow arrays plus an adjacency
 list updated in place, from the start to the plan. The northwest corner
 builds it: each staircase cell hangs one new node on an end already in the
-tree and fixes that node's potential. This start is already optimal on the
-line because supports are stored sorted. Pricing is Dantzig's: the cell
-of most negative reduced cost C_ij - u_i - v_j enters. Its cycle is found
+tree and fixes that node's potential. On the line this start is optimal,
+because supports are stored sorted and |x-y|^p is convex (its cost matrix
+is Monge), so d = 1 solves skip pricing and go from the northwest pass
+straight to the certificate. Only if the certificate fails there, as when
+`DIST_CLAMP` zeroed a positive distance and broke the Monge order, does
+the solve price like any other. Pricing is Dantzig's: the cell of most
+negative reduced cost C_ij - u_i - v_j enters. Its cycle is found
 by walking both ends up to their common ancestor, and after the pivot only
 the subtree that re-hangs on the entering cell has its depths and
 potentials updated. A pivot that would move no mass is degenerate. Every
@@ -21,10 +25,22 @@ Heidrich (SIGGRAPH Asia 2011).
 
 At optimality the flows are re-solved on the same tree from the original
 marginals, children before parents, since a parent edge carries the net
-supply of the subtree below it. The tree's potentials (u, v) must certify
-the plan: u_i + v_j <= C_ij on every cell and a.u + b.v equal to the
-plan's cost, both on the unit-scaled cost matrix. A failed certificate
-raises `NumericalInconsistency`.
+supply of the subtree below it. A start that no pivot changed is returned
+as built: its staircase cells are already in (row, col) order, and the
+reverse of the order in which they joined settles children first, so it
+needs no sort. The tree's potentials (u, v) must certify the plan:
+u_i + v_j <= C_ij on every cell and a.u + b.v equal to the plan's cost,
+both on the unit-scaled cost matrix. A failed certificate raises
+`NumericalInconsistency`.
+
+Numpy does the work on the whole matrix: the distance and cost matrices
+and their scaling, pricing, and the certificate's dual slack. Work on the
+plan's n+m-1 cells (flows, the negative-flow check, the `PRUNE_TOL` snap,
+the duality gap, the plan's cost, the zero-mass filter and the marginal
+check of `Coupling.validate`) runs in plain Python over lists, where one
+numpy call on a few entries would cost more than the arithmetic. The plan
+arrays are built once, at the end; the simplex's sums over plan cells use
+`math.fsum`.
 
 Solves are memoized: a module-level LRU of the last `MEMO_SIZE` distinct
 solves, keyed on the bytes of both measures and on p, serves a repeated
@@ -34,7 +50,9 @@ result built from it; a solve that raises is never stored.
 
 Two independent routes check the simplex: `wasserstein_1d_oracle` builds
 the monotone quantile coupling on the line, which is optimal for every
-convex cost |x-y|^p with p >= 1, and `brute_force_oracle` enumerates
+convex cost |x-y|^p with p >= 1, from a merged grid of cumulative sums,
+code apart from the certified staircase the simplex returns on the line;
+and `brute_force_oracle` enumerates
 polytope vertices outright on tiny instances. It calls no simplex code: it
 checks every set of n+m-1 cells for a basis by the determinant of its
 incidence matrix and solves the bases' flows in batches.
@@ -47,6 +65,8 @@ with the atom-merge tolerance of `discrete_measure`.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -98,12 +118,15 @@ class Coupling:
         return out
 
     def validate(self, tol: float = MARGINAL_TOL) -> None:
-        gap_r = float(np.abs(self.row_sums() - self.source.weights).max())
-        gap_c = float(np.abs(self.col_sums() - self.target.weights).max())
-        if max(gap_r, gap_c) > tol:
-            raise NumericalInconsistency(
-                f"coupling marginals off by {max(gap_r, gap_c):.3e} (> {tol})"
-            )
+        # one pass over the plan's cells in Python: a plan has only n+m-1 of them
+        a, b = self.source.weights.tolist(), self.target.weights.tolist()
+        row, col = [0.0] * len(a), [0.0] * len(b)
+        for i, j, w in zip(self.rows.tolist(), self.cols.tolist(), self.masses.tolist()):
+            row[i] += w
+            col[j] += w
+        gap = max(map(abs, map(operator.sub, row + col, a + b)))
+        if gap > tol:
+            raise NumericalInconsistency(f"coupling marginals off by {gap:.3e} (> {tol})")
 
     def plan_list(self) -> list[list]:
         return [[int(i), int(j), float(m)]
@@ -132,30 +155,29 @@ class TransportResult:
 def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> None:
     if mu.dim != nu.dim:
         raise DimensionError(f"measures live in R^{mu.dim} vs R^{nu.dim}")
-    if p < 1.0:
-        raise DomainError(f"exponent p={p} must be at least 1")
+    if not (math.isfinite(p) and p >= 1.0):  # a nan p would also key a memo entry never hit
+        raise DomainError(f"exponent p={p} must be finite and at least 1")
 
 
 def _distance_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     if mu.dim == 1:
-        D = np.abs(mu.support[:, 0][:, None] - nu.support[:, 0][None, :])
+        D = np.abs(mu.support - nu.support.T)
     else:
         diff = mu.support[:, None, :] - nu.support[None, :, :]
-        D = np.sqrt(np.sum(diff * diff, axis=2))
+        D = np.sqrt((diff * diff).sum(axis=2))
     D[D < DIST_CLAMP] = 0.0
     return D
 
 
 def _cost_matrix(D: np.ndarray, p: float) -> np.ndarray:
-    return D.copy() if p == 1.0 else D**p
+    return D if p == 1.0 else D**p
 
 
 def _finish(mu, nu, p, rows, cols, masses, cost, solver) -> TransportResult:
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    masses = np.asarray(masses, dtype=float)
-    keep = masses > 0.0
-    plan = Coupling(mu, nu, rows[keep], cols[keep], masses[keep])
+    """The result on the plan's cells with positive mass; rows, cols, masses are lists."""
+    if min(masses) <= 0.0:
+        rows, cols, masses = zip(*[c for c in zip(rows, cols, masses) if c[2] > 0.0])
+    plan = Coupling(mu, nu, np.array(rows), np.array(cols), np.array(masses))
     plan.validate()
     cost = max(float(cost), 0.0)
     value = cost if p == 1.0 else cost ** (1.0 / p)
@@ -168,35 +190,46 @@ def _product_plan(mu, nu, p, C, solver) -> TransportResult:
     """The product plan, the only coupling when either side is a Dirac."""
     n, m = C.shape
     if n == 1:
-        return _finish(mu, nu, p, np.zeros(m, dtype=int), np.arange(m),
-                       nu.weights.copy(), float(np.dot(nu.weights, C[0])), solver)
-    return _finish(mu, nu, p, np.arange(n), np.zeros(n, dtype=int),
-                   mu.weights.copy(), float(np.dot(mu.weights, C[:, 0])), solver)
+        return _finish(mu, nu, p, [0] * m, list(range(m)), nu.weights.tolist(),
+                       float(np.dot(nu.weights, C[0])), solver)
+    return _finish(mu, nu, p, list(range(n)), [0] * n, mu.weights.tolist(),
+                   float(np.dot(mu.weights, C[:, 0])), solver)
+
+
+def _dot(x, y) -> float:
+    """Sum of the products of two float lists, the sum rounded once."""
+    return math.fsum(map(operator.mul, x, y))
 
 
 # ---------------------------------------------------------------------------
 # transportation simplex
 # ---------------------------------------------------------------------------
 
-def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
     """Optimal basis by the network simplex: its plan and potentials (u, v).
 
     Nodes are the rows 0..n-1 and the columns n..n+m-1; the basis is a
     spanning tree rooted at row 0, held as `parent`, `depth`, the flow on
     each node's parent edge and an adjacency list updated in place. The
     northwest pass builds it: each staircase cell joins one new node to an
-    end already in the tree. At optimality the flows are re-solved from a
-    and b on that tree, and the plan comes back as (rows, cols, flow)
-    sorted by (row, col).
+    end already in the tree. The plan comes back as lists (rows, cols,
+    flow) sorted by (row, col), with u and v as arrays.
+
+    Without `price` (the line, where the start is optimal) and when the
+    first pricing finds no entering cell, the staircase is returned as
+    built: its cells are already in (row, col) order, and its flows are
+    re-solved from a and b in the reverse of the order its nodes joined,
+    which settles children before parents. After a pivot the re-solve
+    takes the nodes by decreasing depth and the plan is sorted by Bland's
+    cell index. Only pricing works on the whole matrix in numpy.
     """
     n, m = C.shape
     N = n + m
-    adj: list[list[int]] = [[] for _ in range(N)]
     parent = [-1] * N
     depth = [0] * N
     flow = [0.0] * N           # mass on the cell joining x to parent[x]
-    pot = np.zeros(N)          # u = pot[:n], v = pot[n:]; u_i + v_j = C_ij on the tree
-    u, v = pot[:n], pot[n:]
+    pot = [0.0] * N            # u = pot[:n], v = pot[n:]; u_i + v_j = C_ij on the tree
+    nodes: list[int] = []      # the staircase cells, each by the node it hangs on the tree
     ra, rb = a.tolist(), b.tolist()
     i = j = 0
     x, px = n, 0               # the new node of cell (i, j) and its end in the tree
@@ -205,9 +238,8 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         ra[i] -= t
         rb[j] -= t
         parent[x], depth[x], flow[x] = px, depth[px] + 1, max(t, 0.0)
-        pot[x] = C[i, j] - pot[px]
-        adj[x].append(px)
-        adj[px].append(x)
+        pot[x] = C.item(i, j) - pot[px]
+        nodes.append(x)
         if i == n - 1 and j == m - 1:
             break
         # advance exactly one index per step; on a tie close the row so the
@@ -218,6 +250,29 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         else:
             j += 1
             x, px = n + j, i
+    pot = np.array(pot)
+    u, v = pot[:n], pot[n:]
+
+    def plan(settle):
+        """The plan on the tree, its flows re-solved from a and b in the order `settle`.
+
+        A parent edge carries the net supply of the subtree below it, so
+        children settle before their parents.
+        """
+        left = a.tolist() + b.tolist()
+        for x in settle:
+            flow[x] = left[x]
+            left[parent[x]] -= left[x]
+        rows = [x if x < n else parent[x] for x in nodes]
+        cols = [parent[x] - n if x < n else x - n for x in nodes]
+        return rows, cols, [flow[x] for x in nodes], u, v
+
+    if not price:  # every staircase node joins after its parent
+        return plan(reversed(nodes))
+    adj: list[list[int]] = [[] for _ in range(N)]
+    for x in nodes:
+        adj[x].append(parent[x])
+        adj[parent[x]].append(x)
 
     def cell_index(x: int) -> int:  # Bland's order of the cell above node x
         return x * m + parent[x] - n if x < n else parent[x] * m + x - n
@@ -244,20 +299,14 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         return down, up, theta
 
     cap = 10 * N ** 2
-    for _ in range(cap):
+    for pivots in range(cap):
         R = C - u[:, None] - v[None, :]
         k = int(R.argmin())
         if not R.flat[k] < -_ENTER_TOL:   # also stops on a NaN cost (overflow)
-            # a parent edge carries the net supply of the subtree below it,
-            # so children settle before their parents
-            left = a.tolist() + b.tolist()
-            for x in sorted(range(1, N), key=depth.__getitem__, reverse=True):
-                flow[x] = left[x]
-                left[parent[x]] -= left[x]
+            if not pivots:
+                return plan(reversed(nodes))
             nodes = sorted(range(1, N), key=cell_index)  # the plan in (row, col) order
-            rows = [x if x < n else parent[x] for x in nodes]
-            cols = [parent[x] - n if x < n else x - n for x in nodes]
-            return np.array(rows), np.array(cols), np.array([flow[x] for x in nodes]), u, v
+            return plan(sorted(range(1, N), key=depth.__getitem__, reverse=True))
         down, up, theta = cycle(k)
         if theta <= _DEGENERATE_MASS:
             # every degenerate pivot follows Bland's rule, so none can cycle
@@ -300,9 +349,11 @@ def _certify(Cs, a, b, u, v, rows, cols, flow) -> None:
 
     Dual feasibility (u_i + v_j <= Cs_ij on every cell) bounds every plan's
     cost from below by a.u + b.v; a zero gap to the plan's cost closes it.
+    The slack is checked on the whole matrix, the gap on the plan's cells.
     """
     slack = float((Cs - u[:, None] - v[None, :]).min())
-    gap = abs(float(np.dot(a, u) + np.dot(b, v) - np.dot(flow, Cs[rows, cols])))
+    dual = _dot(a.tolist(), u.tolist()) + _dot(b.tolist(), v.tolist())
+    gap = abs(dual - _dot(flow, [Cs.item(i, j) for i, j in zip(rows, cols)]))
     if slack < -_CERT_TOL or gap > _CERT_TOL:
         raise NumericalInconsistency(
             f"optimality certificate failed: dual slack {slack:.3e}, duality gap {gap:.3e}"
@@ -351,20 +402,32 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportResul
     if n == 1 or m == 1:
         return _product_plan(mu, nu, p, C, "simplex")
 
+    if mu.dim == 1:
+        # sorted supports make the northwest start optimal for the convex cost
+        # |x-y|^p, so the line goes to the certificate unpriced; a positive
+        # distance that DIST_CLAMP zeroed can break that order, and then it prices
+        try:
+            return _certified_plan(mu, nu, p, C, False)
+        except NumericalInconsistency:
+            pass
+    return _certified_plan(mu, nu, p, C, True)
+
+
+def _certified_plan(mu, nu, p, C, price: bool) -> TransportResult:
+    """The simplex plan for the cost C, checked and certified on C scaled to unit maximum."""
     a, b = mu.weights, nu.weights
     scale = float(C.max())
     Cs = C / scale if scale > 0.0 else C
-    rows, cols, flow, u, v = _simplex_basis(Cs, a, b)
-    if float(flow.min()) < -1e-9:
-        raise NumericalInconsistency(
-            f"basis re-solve produced flow {float(flow.min()):.3e} < 0"
-        )
+    rows, cols, flow, u, v = _simplex_basis(Cs, a, b, price)
+    low = min(flow)
+    if low < -1e-9:
+        raise NumericalInconsistency(f"basis re-solve produced flow {low:.3e} < 0")
     # masses below the weight resolution of a measure are round-off, such as a
     # last-bit mismatch of the two weight totals carried along the tree
-    flow[flow < PRUNE_TOL] = 0.0
-    if np.isfinite(scale):  # an overflowed |x-y|^p has no certificate to check
+    flow = [f if f >= PRUNE_TOL else 0.0 for f in flow]
+    if math.isfinite(scale):  # an overflowed |x-y|^p has no certificate to check
         _certify(Cs, a, b, u, v, rows, cols, flow)
-    cost = float(np.dot(flow, C[rows, cols]))
+    cost = _dot(flow, [C.item(i, j) for i, j in zip(rows, cols)])
     return _finish(mu, nu, p, rows, cols, flow, cost, "simplex")
 
 
@@ -499,11 +562,13 @@ def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0)
 
     if n == m and n <= MAX_PERMUTATION_SIZE and _is_uniform(mu.weights) and _is_uniform(nu.weights):
         cost, perm = _best_permutation(C, mu.weights)
-        return _finish(mu, nu, p, np.arange(n), perm, mu.weights.copy(), cost, "bruteforce")
+        return _finish(mu, nu, p, list(range(n)), perm.tolist(), mu.weights.tolist(), cost,
+                       "bruteforce")
 
     if n + m <= MAX_ENUM_SUPPORT:
         cost, cells, flow = _best_tree_vertex(C, mu.weights, nu.weights)
-        return _finish(mu, nu, p, cells // m, cells % m, flow, cost, "bruteforce")
+        return _finish(mu, nu, p, (cells // m).tolist(), (cells % m).tolist(), flow.tolist(),
+                       cost, "bruteforce")
 
     raise InstanceTooLarge(
         f"brute force supports uniform n=m<={MAX_PERMUTATION_SIZE} or "

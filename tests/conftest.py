@@ -17,8 +17,8 @@ def basis_calls(monkeypatch) -> list:
     calls = []
     basis = ot_exact._simplex_basis
 
-    def counted(C, a, b):
+    def counted(C, a, b, price):
         calls.append(C.shape)
-        return basis(C, a, b)
+        return basis(C, a, b, price)
     monkeypatch.setattr(ot_exact, "_simplex_basis", counted)
     return calls

@@ -116,6 +116,13 @@ def test_error_contracts():
         wasserstein_exact(dirac([0.0]), dirac([1.0]), 0.5)
     with pytest.raises(DimensionError):
         wasserstein_1d_oracle(dirac([0.0, 0.0]), dirac([1.0, 1.0]), 2.0)
+    # an exponent that is not a finite number >= 1 is refused by every route
+    mu, nu = TWO_BY_TWO
+    for p in (math.nan, math.inf, -math.inf):
+        for route in (wasserstein_exact, wasserstein_1d_oracle, brute_force_oracle):
+            with pytest.raises(DomainError):
+                route(mu, nu, p)
+    assert not ot_exact._memo
 
 
 def test_metric_axioms_random():
@@ -297,6 +304,57 @@ def test_resolved_flows_match_both_marginals_and_come_sorted(pair, p):
     assert np.all(np.diff(plan.rows * nu.n_atoms + plan.cols) > 0)
 
 
+@st.composite
+def _weighted_line_pair(draw):
+    """Distinct atoms on the line with non-uniform weights, 2..12 atoms a side."""
+    def measure(n):
+        x = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n, unique=True))
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        return validate_measure(np.array(x)[:, None], w / w.sum())
+    return measure(draw(st.integers(2, 12))), measure(draw(st.integers(2, 12)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_weighted_line_pair(), st.sampled_from([1.5, 2.0, 3.0]))
+def test_line_plan_is_the_quantile_coupling(pair, p):
+    # |x-y|^p is strictly convex for p > 1, so the monotone coupling is the
+    # only optimal plan; dense plans, as the oracle keeps sub-PRUNE_TOL cells
+    mu, nu = pair
+    plan = wasserstein_exact(mu, nu, p).plan.as_dense()
+    assert np.abs(plan - wasserstein_1d_oracle(mu, nu, p).plan.as_dense()).max() <= 1e-14
+
+
+def test_every_route_is_certified(monkeypatch):
+    def refuse(*args):
+        raise NumericalInconsistency("certificate refused")
+    monkeypatch.setattr(ot_exact, "_certify", refuse)
+    # the line, and in the plane a northwest start that is optimal as built and one that pivots
+    as_built = (validate_measure([[0.0, 0.0], [2.0, 1.0]], [0.5, 0.5]),
+                validate_measure([[0.0, 1.0], [2.0, 2.0]], [0.5, 0.5]))
+    pivoting = (validate_measure([[0.0, 0.0], [1.0, 5.0]], [0.5, 0.5]),
+                validate_measure([[0.0, 5.0], [1.0, 0.0]], [0.5, 0.5]))
+    for mu, nu in (TWO_BY_TWO, as_built, pivoting):
+        with pytest.raises(NumericalInconsistency, match="refused"):
+            wasserstein_exact(mu, nu, 2.0)
+    assert not ot_exact._memo
+
+
+def test_line_prices_when_the_clamp_breaks_the_monotone_order():
+    # x2 and y1 lie 5e-13 apart, which DIST_CLAMP zeroes; on the clamped cost
+    # the northwest start fails its certificate, so the solve prices instead
+    mu = validate_measure([[0.0], [1e-11]], [0.5, 0.5])
+    nu = validate_measure([[1.05e-11], [2e-11]], [0.5, 0.5])
+    C = np.abs(mu.support - nu.support.T)
+    C[C < ot_exact.DIST_CLAMP] = 0.0
+    Cs = C / C.max()
+    rows, cols, flow, u, v = ot_exact._simplex_basis(Cs, mu.weights, nu.weights, False)
+    with pytest.raises(NumericalInconsistency, match="certificate"):
+        ot_exact._certify(Cs, mu.weights, nu.weights, u, v, rows, cols, flow)
+    res = wasserstein_exact(mu, nu, 1.0)
+    assert res.cost == pytest.approx(brute_force_oracle(mu, nu, 1.0).cost, rel=1e-12)
+    assert res.cost < np.sum(np.array(flow) * C[rows, cols])
+
+
 def test_line_500_atoms_matches_quantile_oracle():
     rng = np.random.default_rng(12)
     mu = validate_measure(rng.uniform(-10, 10, (500, 1)), np.full(500, 1.0 / 500))
@@ -340,10 +398,10 @@ def test_certificate_rejects_a_non_optimal_basis(monkeypatch):
     assert abs(wasserstein_exact(mu, nu, 1.0).value - 1.0) <= 1e-12
 
     # on a zero cost the northwest start is optimal, so the simplex returns it as built
-    rows, cols, flow, _, _ = ot_exact._simplex_basis(np.zeros((2, 2)), mu.weights, nu.weights)
-    assert [x.tolist() for x in (rows, cols, flow)] == [x.tolist() for x in northwest_2x2()]
+    rows, cols, flow, _, _ = ot_exact._simplex_basis(np.zeros((2, 2)), mu.weights, nu.weights, True)
+    assert [rows, cols, flow] == [x.tolist() for x in northwest_2x2()]
 
-    def northwest_tree(C, a, b):
+    def northwest_tree(C, a, b, price):
         v0 = C[0, 0]
         u1 = C[1, 0] - v0
         return (*northwest_2x2(), np.array([0.0, u1]), np.array([v0, C[1, 1] - u1]))
@@ -401,7 +459,7 @@ def test_memo_never_stores_a_raise(monkeypatch):
             wasserstein_exact(mu, nu, 0.5)
     assert not ot_exact._memo
 
-    def non_optimal_tree(C, a, b):
+    def non_optimal_tree(C, a, b, price):
         return (*northwest_2x2(), np.zeros(a.shape[0]), np.zeros(b.shape[0]))
     monkeypatch.setattr(ot_exact, "_simplex_basis", non_optimal_tree)
     for _ in range(2):

@@ -259,10 +259,14 @@ def _malformed_inputs(tmp_path):
         "eps-one": {"field": {"kind": "constant", "value": 0.0},
                     "omega": {"support": [[0.0]], "weights": [1.0]}, "eps": 1.0},
         "levels-empty": dict(unit_slope, levels=[]),
+        # whole-number entries are not truncated
+        "budget-fractional": dict(unit_slope, budget=8.7),
     }
     configs = {**wrong_leaves, **out_of_domain}
     for name, cfg in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    fractional_steps = tmp_path / "fractional_steps.json"
+    fractional_steps.write_text(json.dumps(dict(unit_slope, steps=2.5)))
     return {
         **{f"check-viscosity-{name}": ["check-viscosity", str(tmp_path / f"{name}.json")]
            for name in configs},
@@ -277,6 +281,9 @@ def _malformed_inputs(tmp_path):
         "wp-dim-fractional": ["wp", str(fractional_dim)],
         "wp-j-too-large": ["wp", str(measures), "--j", "5"],
         "wp-i-negative": ["wp", str(measures), "--i", "-1"],
+        "wp-p-nan": ["wp", str(measures), "--p", "nan"],
+        "wp-p-inf": ["wp", str(measures), "--p", "inf"],
+        "descend-steps-fractional": ["descend", str(fractional_steps)],
         "geodesic-i-too-large": ["geodesic", str(measures), "--i", "9"],
         "reproduce-ex3-p3": ["reproduce", "ex3", "--p", "3"],
         "acceptance-no-match": ["acceptance", "--only", "no-such-criterion"],
@@ -292,7 +299,9 @@ def _malformed_inputs(tmp_path):
     "check-viscosity-eps-negative", "check-viscosity-eps-one",
     "check-viscosity-levels-empty", "check-viscosity-p-string",
     "check-viscosity-sign-bool", "check-viscosity-value-bool",
-    "wp-weights-string", "wp-dim-fractional", "wp-j-too-large", "wp-i-negative", "geodesic-i-too-large", "reproduce-ex3-p3",
+    "check-viscosity-budget-fractional", "descend-steps-fractional",
+    "wp-weights-string", "wp-dim-fractional", "wp-j-too-large", "wp-i-negative",
+    "wp-p-nan", "wp-p-inf", "geodesic-i-too-large", "reproduce-ex3-p3",
     "acceptance-no-match",
 ])
 def test_cli_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
