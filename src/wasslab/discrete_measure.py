@@ -201,10 +201,15 @@ def dirac(x) -> DiscreteMeasure:
     return validate_measure(pts, np.ones(1))
 
 
+def check_exponent(p: float) -> None:
+    """Raise `DomainError` unless p is a finite exponent of at least 1."""
+    if not (math.isfinite(p) and p >= 1.0):  # nan fails every comparison, p < 1.0 too
+        raise DomainError(f"exponent p={p} must be finite and at least 1")
+
+
 def p_moment(m: DiscreteMeasure, p: float, x0) -> float:
     """sum_i w_i |x_i - x0|^p; finite for every discrete measure."""
-    if p < 1.0:
-        raise DomainError(f"moment order p={p} must be at least 1")
+    check_exponent(p)
     ref = np.asarray(x0, dtype=float).reshape(-1)
     if ref.shape[0] != m.dim:
         raise DimensionError(f"reference point dim {ref.shape[0]} vs measure dim {m.dim}")

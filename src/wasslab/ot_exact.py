@@ -3,25 +3,27 @@
 `wasserstein_exact` runs a network simplex on the transportation problem
 and returns an optimal vertex of the coupling polytope. The basis is one
 spanning tree over the n source rows and m target columns, rooted at row 0
-and held as parent, depth and parent-edge flow arrays plus an adjacency
-list updated in place, from the start to the plan. The northwest corner
-builds it: each staircase cell hangs one new node on an end already in the
-tree and fixes that node's potential. On the line this start is optimal,
-because supports are stored sorted and |x-y|^p is convex (its cost matrix
-is Monge), so d = 1 solves skip pricing and go from the northwest pass
-straight to the certificate. Only if the certificate fails there, as when
-`DIST_CLAMP` zeroed a positive distance and broke the Monge order, does
-the solve price like any other. Pricing is Dantzig's: the cell of most
-negative reduced cost C_ij - u_i - v_j enters. Its cycle is found
-by walking both ends up to their common ancestor, and after the pivot only
-the subtree that re-hangs on the entering cell has its depths and
-potentials updated. A pivot that would move no mass is degenerate. Every
-degenerate pivot follows Bland's rule (Bland 1977: lowest-index entering
-and leaving cells), and a cycle of pivots would consist of degenerate
-pivots only, so the simplex cannot cycle; Cunningham (1976) gives the
-other classical guard, strongly feasible trees. The method is the network
-simplex behind the `emd` solver of Bonneel, van de Panne, Paris and
-Heidrich (SIGGRAPH Asia 2011).
+and held in Python lists updated in place, from the start to the plan:
+parent, depth, parent-edge flow, the dual potentials and an adjacency
+list. The northwest corner builds it: each staircase cell hangs one new
+node on an end already in the tree and fixes that node's potential. On
+the line this start is optimal, because supports are stored sorted and
+|x-y|^p is convex (its cost matrix is Monge), so d = 1 solves skip
+pricing and go from the northwest pass straight to the certificate. Only
+if the certificate fails there, as when `DIST_CLAMP` zeroed a positive
+distance and broke the Monge order, does the solve price like any other.
+Pricing is Dantzig's: each pricing turns the potentials into one array,
+and the cell of most negative reduced cost C_ij - u_i - v_j enters. Its
+cycle is found by walking both ends up to their common ancestor; one loop
+moves the flows along it and picks the leaving cell, and after the pivot
+only the subtree that re-hangs on the entering cell has its depths and
+potentials updated, in plain Python. A pivot that would move no mass is
+degenerate. Every degenerate pivot follows Bland's rule (Bland 1977:
+lowest-index entering and leaving cells), and a cycle of pivots would
+consist of degenerate pivots only, so the simplex cannot cycle;
+Cunningham (1976) gives the other classical guard, strongly feasible
+trees. The method is the network simplex behind the `emd` solver of
+Bonneel, van de Panne, Paris and Heidrich (SIGGRAPH Asia 2011).
 
 At optimality the flows are re-solved on the same tree from the original
 marginals, children before parents, since a parent edge carries the net
@@ -72,10 +74,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_measure import PRUNE_TOL, DiscreteMeasure
+from .discrete_measure import PRUNE_TOL, DiscreteMeasure, check_exponent
 from .errors import (
     DimensionError,
-    DomainError,
     InstanceTooLarge,
     NumericalInconsistency,
     SolverStalled,
@@ -155,8 +156,7 @@ class TransportResult:
 def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> None:
     if mu.dim != nu.dim:
         raise DimensionError(f"measures live in R^{mu.dim} vs R^{nu.dim}")
-    if not (math.isfinite(p) and p >= 1.0):  # a nan p would also key a memo entry never hit
-        raise DomainError(f"exponent p={p} must be finite and at least 1")
+    check_exponent(p)
 
 
 def _distance_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
@@ -209,11 +209,11 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
     """Optimal basis by the network simplex: its plan and potentials (u, v).
 
     Nodes are the rows 0..n-1 and the columns n..n+m-1; the basis is a
-    spanning tree rooted at row 0, held as `parent`, `depth`, the flow on
-    each node's parent edge and an adjacency list updated in place. The
-    northwest pass builds it: each staircase cell joins one new node to an
-    end already in the tree. The plan comes back as lists (rows, cols,
-    flow) sorted by (row, col), with u and v as arrays.
+    spanning tree rooted at row 0, held in lists updated in place: `parent`,
+    `depth`, the flow on each node's parent edge, the potentials `pot` and
+    an adjacency list. The northwest pass builds it: each staircase cell
+    joins one new node to an end already in the tree. The plan comes back
+    as lists (rows, cols, flow) sorted by (row, col), with u and v as arrays.
 
     Without `price` (the line, where the start is optimal) and when the
     first pricing finds no entering cell, the staircase is returned as
@@ -221,7 +221,9 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
     re-solved from a and b in the reverse of the order its nodes joined,
     which settles children before parents. After a pivot the re-solve
     takes the nodes by decreasing depth and the plan is sorted by Bland's
-    cell index. Only pricing works on the whole matrix in numpy.
+    cell index. Only pricing works on the whole matrix in numpy, on one
+    array built from `pot`; a pivot walks its cycle, moves theta and picks
+    the leaving cell in one loop, and re-hangs one subtree, in plain Python.
     """
     n, m = C.shape
     N = n + m
@@ -250,10 +252,8 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
         else:
             j += 1
             x, px = n + j, i
-    pot = np.array(pot)
-    u, v = pot[:n], pot[n:]
 
-    def plan(settle):
+    def plan(settle, P):
         """The plan on the tree, its flows re-solved from a and b in the order `settle`.
 
         A parent edge carries the net supply of the subtree below it, so
@@ -265,10 +265,10 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
             left[parent[x]] -= left[x]
         rows = [x if x < n else parent[x] for x in nodes]
         cols = [parent[x] - n if x < n else x - n for x in nodes]
-        return rows, cols, [flow[x] for x in nodes], u, v
+        return rows, cols, [flow[x] for x in nodes], P[:n], P[n:]
 
     if not price:  # every staircase node joins after its parent
-        return plan(reversed(nodes))
+        return plan(reversed(nodes), np.array(pot))
     adj: list[list[int]] = [[] for _ in range(N)]
     for x in nodes:
         adj[x].append(parent[x])
@@ -290,30 +290,40 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
         up: list[int] = []
         while x != y:
             if depth[x] >= depth[y]:
-                (down if x < n else up).append(x)
+                if x < n:
+                    down.append(x)
+                else:
+                    up.append(x)
                 x = parent[x]
             else:
-                (down if y >= n else up).append(y)
+                if y < n:
+                    up.append(y)
+                else:
+                    down.append(y)
                 y = parent[y]
-        theta = min(flow[z] for z in down)
-        return down, up, theta
+        return down, up, min([flow[z] for z in down])
 
     cap = 10 * N ** 2
     for pivots in range(cap):
-        R = C - u[:, None] - v[None, :]
+        P = np.array(pot)
+        R = C - P[:n, None] - P[None, n:]
         k = int(R.argmin())
-        if not R.flat[k] < -_ENTER_TOL:   # also stops on a NaN cost (overflow)
+        r = R.item(k)
+        if not r < -_ENTER_TOL:   # also stops on a NaN cost (overflow)
             if not pivots:
-                return plan(reversed(nodes))
+                return plan(reversed(nodes), P)
             nodes = sorted(range(1, N), key=cell_index)  # the plan in (row, col) order
-            return plan(sorted(range(1, N), key=depth.__getitem__, reverse=True))
+            return plan(sorted(range(1, N), key=depth.__getitem__, reverse=True), P)
         down, up, theta = cycle(k)
         if theta <= _DEGENERATE_MASS:
             # every degenerate pivot follows Bland's rule, so none can cycle
             k = int((R.ravel() < -_ENTER_TOL).argmax())
+            r = R.item(k)
             down, up, theta = cycle(k)
-        out = min((z for z in down if flow[z] == theta), key=cell_index)
+        out, low = -1, n * m  # the leaving cell: the blocking one of lowest Bland index
         for z in down:
+            if flow[z] == theta and cell_index(z) < low:
+                out, low = z, cell_index(z)
             flow[z] -= theta
         for z in up:
             flow[z] += theta
@@ -333,14 +343,16 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
             if x == out:
                 break
             x, px, fx = nxt, x, f
-        r = float(R.flat[k])
         d = r if s < n else -r  # keeps u_i + v_j = C_ij inside, makes it hold on (i, j)
         stack = [s]
         while stack:
             x = stack.pop()
-            depth[x] = depth[parent[x]] + 1
+            px = parent[x]
+            depth[x] = depth[px] + 1
             pot[x] += d if x < n else -d
-            stack.extend(y for y in adj[x] if y != parent[x])
+            for y in adj[x]:
+                if y != px:
+                    stack.append(y)
     raise SolverStalled(f"simplex exceeded {cap} pivots on a {n}x{m} instance")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_space import BaseRay, ScalarField
-from .discrete_measure import DiscreteMeasure, MeasureSetSequence, validate_measure
+from .discrete_measure import DiscreteMeasure, MeasureSetSequence, check_exponent, validate_measure
 from .errors import (
     DimensionError,
     DomainError,
@@ -75,8 +75,7 @@ class WassersteinPath:
 def displacement_path(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0,
                       check: bool = False) -> WassersteinPath:
     """Geodesic between mu and nu built from an exact optimal coupling."""
-    if p < 1.0:
-        raise DomainError(f"exponent p={p} must be at least 1")
+    check_exponent(p)
     res = wasserstein_exact(mu, nu, p)
     plan = res.plan
     path = WassersteinPath(

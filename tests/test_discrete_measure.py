@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -156,8 +157,11 @@ def test_p_moment_examples():
     m = validate_measure([[0.0], [4.0]], [0.75, 0.25])  # escaping family at n=2, p=2
     assert abs(p_moment(m, 2.0, [0.0]) - 4.0) <= 1e-12
     assert p_moment(dirac([5.0, 1.0]), 3.0, [5.0, 1.0]) == 0.0
-    with pytest.raises(DomainError):
-        p_moment(dirac([0.0]), 0.5, [0.0])
+    # an exponent that is not a finite number >= 1 is refused, as by every W_p route
+    half = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    for p in (math.nan, math.inf, 0.5):
+        with pytest.raises(DomainError):
+            p_moment(half, p, [0.0])
 
 
 def test_p_moment_diameter_bound():

@@ -324,6 +324,47 @@ def test_line_plan_is_the_quantile_coupling(pair, p):
     assert np.abs(plan - wasserstein_1d_oracle(mu, nu, p).plan.as_dense()).max() <= 1e-14
 
 
+@st.composite
+def _planar_instance(draw):
+    """Unit-scaled cost and weights of 2..12 distinct grid atoms a side in the plane.
+
+    Uniform weights and grid distances make most pivots degenerate, so
+    Bland's re-walk runs; random weights make them mostly move mass.
+    """
+    uniform = draw(st.booleans())
+    p = draw(st.sampled_from([1.0, 2.0, 3.0]))
+
+    def measure(n):
+        x = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          min_size=n, max_size=n, unique=True))
+        w = np.full(n, 1.0) if uniform else np.array(
+            draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        return validate_measure(np.array(x, dtype=float), w / w.sum())
+    mu, nu = measure(draw(st.integers(2, 12))), measure(draw(st.integers(2, 12)))
+    C = ot_exact._cost_matrix(ot_exact._distance_matrix(mu, nu), p)
+    return C / C.max(), mu.weights, nu.weights
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_planar_instance())
+def test_pivoted_basis_is_a_spanning_tree_with_tight_potentials(instance):
+    Cs, a, b = instance
+    n, m = Cs.shape
+    rows, cols, flow, u, v = ot_exact._simplex_basis(Cs, a, b, True)
+    assert len(set(zip(rows, cols))) == len(rows) == n + m - 1
+    reached, todo = {0}, [0]  # n+m-1 distinct cells reaching every node form a tree
+    while todo:
+        x = todo.pop()
+        for i, j in zip(rows, cols):
+            for s, t in ((i, n + j), (n + j, i)):
+                if s == x and t not in reached:
+                    reached.add(t)
+                    todo.append(t)
+    assert reached == set(range(n + m))
+    assert np.abs(u[rows] + v[cols] - Cs[rows, cols]).max() <= 1e-12  # zero-flow cells too
+    assert (Cs - u[:, None] - v[None, :]).min() >= -ot_exact._ENTER_TOL
+
+
 def test_every_route_is_certified(monkeypatch):
     def refuse(*args):
         raise NumericalInconsistency("certificate refused")

@@ -77,8 +77,9 @@ def test_path_domain_and_flags():
         path.eval(-0.5)
     with pytest.raises(DomainError):
         path.eval(path.length + 1.0)
-    with pytest.raises(DomainError):
-        displacement_path(mu, nu, 0.5)
+    for p in (math.nan, math.inf, 0.5):
+        with pytest.raises(DomainError):
+            displacement_path(mu, nu, p)
     assert displacement_path(mu, nu, 1.0).nonunique
     degen = displacement_path(mu, mu, 2.0)
     assert degen.degenerate
