@@ -17,13 +17,16 @@ and the cell of most negative reduced cost C_ij - u_i - v_j enters. Its
 cycle is found by walking both ends up to their common ancestor; one loop
 moves the flows along it and picks the leaving cell, and after the pivot
 only the subtree that re-hangs on the entering cell has its depths and
-potentials updated, in plain Python. A pivot that would move no mass is
-degenerate. Every degenerate pivot follows Bland's rule (Bland 1977:
-lowest-index entering and leaving cells), and a cycle of pivots would
-consist of degenerate pivots only, so the simplex cannot cycle;
-Cunningham (1976) gives the other classical guard, strongly feasible
-trees. The method is the network simplex behind the `emd` solver of
-Bonneel, van de Panne, Paris and Heidrich (SIGGRAPH Asia 2011).
+potentials updated, in plain Python. The leaving rule is Cunningham's
+(1976), as in LEMON's `NetworkSimplex`: the tree is strongly feasible,
+each zero-flow edge hanging a row below a column, and stays so when the
+last blocking edge on the walk from the ancestor down the entering row's
+side and up its column's side leaves. A degenerate pivot, common on equal
+weights, then lowers sum(u) - sum(v), so degenerate pivots cannot cycle.
+The northwest start is strongly feasible: a tie closes the row, hanging
+the next one on zero flow, and the last row pays each new column in full.
+The method is the network simplex behind the `emd` solver of Bonneel,
+van de Panne, Paris and Heidrich (SIGGRAPH Asia 2011).
 
 At optimality the flows are re-solved on the same tree from the original
 marginals, children before parents, since a parent edge carries the net
@@ -86,7 +89,6 @@ DIST_CLAMP = 1e-12       # pair distances below this count as zero
 VALUE_CLAMP = 1e-12      # returned distances below this are exactly zero
 MARGINAL_TOL = 1e-10     # coupling marginals must match this tightly
 _ENTER_TOL = 1e-11       # reduced-cost threshold on the unit-scaled cost matrix
-_DEGENERATE_MASS = 1e-14  # a pivot moving no more mass than this is degenerate
 _CERT_TOL = 1e-9         # dual slack and duality gap allowed on the unit-scaled cost
 # every repeat in the acceptance battery comes within 1,829 distinct solves
 # of its first use; 2,048 small entries take a few MB
@@ -214,14 +216,16 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
     an adjacency list. The northwest pass builds it: each staircase cell
     joins one new node to an end already in the tree. The plan comes back
     as lists (rows, cols, flow) sorted by (row, col), with u and v as arrays.
+    Dantzig's rule picks the entering cell and Cunningham's the leaving one,
+    so the tree stays strongly feasible from start to plan.
 
     Without `price` (the line, where the start is optimal) and when the
     first pricing finds no entering cell, the staircase is returned as
     built: its cells are already in (row, col) order, and its flows are
     re-solved from a and b in the reverse of the order its nodes joined,
     which settles children before parents. After a pivot the re-solve
-    takes the nodes by decreasing depth and the plan is sorted by Bland's
-    cell index. Only pricing works on the whole matrix in numpy, on one
+    takes the nodes by decreasing depth and the plan is sorted by cell
+    index i*m + j. Only pricing works on the whole matrix in numpy, on one
     array built from `pot`; a pivot walks its cycle, moves theta and picks
     the leaving cell in one loop, and re-hangs one subtree, in plain Python.
     """
@@ -236,10 +240,12 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
     i = j = 0
     x, px = n, 0               # the new node of cell (i, j) and its end in the tree
     while True:
-        t = ra[i] if ra[i] <= rb[j] else rb[j]
+        # the smaller residual moves, but the last row pays a new column in full, so
+        # totals that differ in the last bits hang no column below a row on zero flow
+        t = ra[i] if ra[i] <= rb[j] and (x < n or i < n - 1) else rb[j]
         ra[i] -= t
         rb[j] -= t
-        parent[x], depth[x], flow[x] = px, depth[px] + 1, max(t, 0.0)
+        parent[x], depth[x], flow[x] = px, depth[px] + 1, t
         pot[x] = C.item(i, j) - pot[px]
         nodes.append(x)
         if i == n - 1 and j == m - 1:
@@ -274,7 +280,7 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
         adj[x].append(parent[x])
         adj[parent[x]].append(x)
 
-    def cell_index(x: int) -> int:  # Bland's order of the cell above node x
+    def cell_index(x: int) -> int:  # i*m + j for the cell (i, j) above node x
         return x * m + parent[x] - n if x < n else parent[x] * m + x - n
 
     def cycle(k: int):
@@ -282,16 +288,18 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
 
         Pushing mass along the entering cell (i, j) takes it off the parent
         edges of the rows on i's side of the common ancestor and of the
-        columns on j's side, and adds it to the others.
+        columns on j's side, and adds it to the others. The losing edges come
+        in the order of the walk from the ancestor down i's side and up j's.
         """
         x, y = divmod(k, m)
         y += n
-        down: list[int] = []
+        rows: list[int] = []  # losing, from i up
+        cols: list[int] = []  # losing, from j up
         up: list[int] = []
         while x != y:
             if depth[x] >= depth[y]:
                 if x < n:
-                    down.append(x)
+                    rows.append(x)
                 else:
                     up.append(x)
                 x = parent[x]
@@ -299,8 +307,9 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
                 if y < n:
                     up.append(y)
                 else:
-                    down.append(y)
+                    cols.append(y)
                 y = parent[y]
+        down = rows[::-1] + cols
         return down, up, min([flow[z] for z in down])
 
     cap = 10 * N ** 2
@@ -315,15 +324,12 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
             nodes = sorted(range(1, N), key=cell_index)  # the plan in (row, col) order
             return plan(sorted(range(1, N), key=depth.__getitem__, reverse=True), P)
         down, up, theta = cycle(k)
-        if theta <= _DEGENERATE_MASS:
-            # every degenerate pivot follows Bland's rule, so none can cycle
-            k = int((R.ravel() < -_ENTER_TOL).argmax())
-            r = R.item(k)
-            down, up, theta = cycle(k)
-        out, low = -1, n * m  # the leaving cell: the blocking one of lowest Bland index
+        # the last blocking edge on the walk leaves; f - theta is 0.0 exactly
+        # when f == theta, so the tree's zero-flow edges all point to the root
+        out = -1
         for z in down:
-            if flow[z] == theta and cell_index(z) < low:
-                out, low = z, cell_index(z)
+            if flow[z] == theta:
+                out = z
             flow[z] -= theta
         for z in up:
             flow[z] += theta

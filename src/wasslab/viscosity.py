@@ -251,8 +251,8 @@ def _scan(U, omega, r, budget, rng):
 
 def _check_radii(radii: Sequence[float]) -> tuple[float, ...]:
     radii = tuple(radii)
-    if not radii or any(r <= 0 for r in radii) or any(
-        radii[k] <= radii[k + 1] for k in range(len(radii) - 1)
+    if not radii or not all(r > 0 for r in radii) or not all(  # nan fails it too
+        radii[k] > radii[k + 1] for k in range(len(radii) - 1)
     ):
         raise DomainError(f"radii must be positive and decreasing, got {radii}")
     return radii
@@ -497,11 +497,11 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
     the partial polyline attached, when no candidate is admissible; this is
     the expected outcome for fields that are not unit-slope.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # nan fails it too
         raise DomainError(f"eps {eps} must be positive")
     if steps < 1:
         raise DomainError(f"steps {steps} must be at least 1")
-    if step_length <= 0.0:
+    if not step_length > 0.0:
         raise DomainError(f"step_length {step_length} must be positive")
     rng = ensure_rng(rng)
     vertices = [omega]

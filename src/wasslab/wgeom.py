@@ -196,10 +196,10 @@ def busemann_estimate(ray: WassersteinRay, omega: DiscreteMeasure,
     below tol or the cap is reached. A monotonicity breach beyond 1e-9 means
     a solver defect and raises.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # nan fails it too, and the t_max check
         raise DomainError(f"tolerance {tol} must be positive")
-    if t_max < 1.0:
-        raise DomainError(f"t_max {t_max} must be at least 1")
+    if not (math.isfinite(t_max) and t_max >= 1.0):
+        raise DomainError(f"t_max {t_max} must be finite and at least 1")
     samples: list[tuple[float, float]] = []
     prev = None
     converged = False
@@ -287,7 +287,7 @@ def sphere_sample(omega: DiscreteMeasure, r: float, p: float = 2.0,
     the certified distance, which is what downstream calibration formulas
     use; acceptance requires it inside [0.9 r, 1.1 r].
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"radius {r} must be positive")
     if budget < 1:
         raise DomainError(f"budget {budget} must be at least 1")
@@ -322,7 +322,7 @@ def cs_diagnostic(seq, sigma: float, omega0: DiscreteMeasure, N: int,
     It is a labelled heuristic, not a proof: the report carries the full
     pairwise distance matrix and the parameters it was judged under.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError(f"sigma {sigma} must be positive")
     if not (N >= K >= 2):
         raise DomainError(f"need N >= K >= 2, got N={N}, K={K}")

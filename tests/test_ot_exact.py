@@ -194,7 +194,7 @@ def test_oracle_agreement_tiny():
 
 def test_degenerate_marginals_do_not_stall():
     # uniform weights force prefix-sum ties, so many pivots are degenerate;
-    # Bland's rule on them must still reach an exact optimal vertex
+    # the strongly feasible tree must still reach an exact optimal vertex
     rng = np.random.default_rng(8)
     for _ in range(20):
         n = int(rng.integers(2, 7))
@@ -204,6 +204,52 @@ def test_degenerate_marginals_do_not_stall():
         ref = brute_force_oracle(mu, nu, 2.0)
         assert abs(res.value - ref.value) <= 1e-9
         res.plan.validate(1e-10)
+
+
+def test_last_bit_weight_totals_are_certified_and_match_enumeration():
+    # both totals are kept (within SUM_KEEP_TOL) and differ by 4e-13, so the
+    # northwest pass runs out of the last row before it reaches the last column
+    mu = validate_measure([[0, 0], [1, 0]], [0.5, 0.5 - 5e-13])
+    nu = validate_measure([[0, 1], [1, 1], [2, 1]], [0.5, 0.5 - 5e-13, 4e-13])
+    assert nu.n_atoms == 3 and mu.weights.sum() < nu.weights.sum()
+    for p in (1.0, 2.0):
+        res = wasserstein_exact(mu, nu, p)  # raises unless certified
+        assert abs(res.value - brute_force_oracle(mu, nu, p).value) <= 1e-9
+        res.plan.validate(1e-10)
+
+
+@st.composite
+def _same_weight_pair(draw):
+    """A grid measure and a translate or one-atom shift of it: both keep its weights.
+
+    These are the candidates the slope verdicts compare a measure with;
+    equal weights make most of their pivots degenerate.
+    """
+    uniform = draw(st.booleans())
+    # the oracle checks permutations on uniform weights, every basis otherwise
+    n = draw(st.integers(2, 5 if uniform else 4))
+    x = np.array(draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               min_size=n, max_size=n, unique=True)), dtype=float)
+    w = np.full(n, 1.0 / n) if uniform else np.array(
+        draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    shift = np.array(draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2))), dtype=float)
+    y = x + shift
+    if draw(st.booleans()):  # shift one atom only, unless it lands on another
+        y = x.copy()
+        k = draw(st.integers(0, n - 1))
+        if not any((row == x[k] + shift).all() for row in x):
+            y[k] += shift
+    return validate_measure(x, w / w.sum()), validate_measure(y, w / w.sum())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_same_weight_pair(), st.sampled_from([1.0, 2.0, 3.0]))
+def test_same_weight_candidates_match_enumeration(pair, p):
+    mu, nu = pair
+    res = wasserstein_exact(mu, nu, p)
+    assert abs(res.value - brute_force_oracle(mu, nu, p).value) <= 1e-9
+    assert res.plan.n_entries <= mu.n_atoms + nu.n_atoms - 1
+    res.plan.validate(1e-10)
 
 
 def test_simplex_plan_is_basic():
@@ -328,8 +374,9 @@ def test_line_plan_is_the_quantile_coupling(pair, p):
 def _planar_instance(draw):
     """Unit-scaled cost and weights of 2..12 distinct grid atoms a side in the plane.
 
-    Uniform weights and grid distances make most pivots degenerate, so
-    Bland's re-walk runs; random weights make them mostly move mass.
+    Uniform weights and grid distances make most pivots degenerate, which
+    the strongly feasible leaving rule must get through; random weights make
+    them mostly move mass.
     """
     uniform = draw(st.booleans())
     p = draw(st.sampled_from([1.0, 2.0, 3.0]))
@@ -430,6 +477,20 @@ def test_certified_plans_in_the_plane(n):
     res.plan.validate(1e-10)
     C = np.sum((mu.support[:, None, :] - nu.support[None, :, :]) ** 2, axis=2)
     assert abs(res.cost - _highs_cost(C, mu.weights, nu.weights)) <= 1e-7 * C.max()
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_uniform_weights_at_size_match_highs(n, p):
+    # equal weights make most pivots degenerate; the solve must not stall on them
+    rng = np.random.default_rng(n)
+    x, y = rng.random((n, 2)), rng.random((n, 2))
+    mu = validate_measure(x, np.full(n, 1.0 / n))
+    nu = validate_measure(y, np.full(n, 1.0 / n))
+    res = wasserstein_exact(mu, nu, p)
+    res.plan.validate(1e-10)
+    C = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)) ** p
+    assert res.cost == pytest.approx(_highs_cost(C, mu.weights, nu.weights), rel=1e-12)
 
 
 def test_certificate_rejects_a_non_optimal_basis(monkeypatch):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -267,6 +268,20 @@ def _malformed_inputs(tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     fractional_steps = tmp_path / "fractional_steps.json"
     fractional_steps.write_text(json.dumps(dict(unit_slope, steps=2.5)))
+    # nan fails every comparison, so each of these must be refused, not run
+    busemann = {"field": {"kind": "lifted",
+                          "base": {"variant": "busemann", "direction": [1.0, 0.0]}},
+                "omega": {"support": [[0.3, 0.1]], "weights": [1.0]},
+                "start": {"support": [[0.0, 0.0]], "weights": [1.0]}}
+    nan_entries = {
+        "busemann-t_max-nan": ("busemann", dict(busemann, t_max=math.nan)),
+        "busemann-tol-nan": ("busemann", dict(busemann, tol=math.nan)),
+        "descend-epsilon-nan": ("descend", dict(unit_slope, epsilon=math.nan)),
+        "descend-step_length-nan": ("descend", dict(unit_slope, step_length=math.nan)),
+        "check-viscosity-radii-nan": ("check-viscosity", dict(unit_slope, radii=[math.nan])),
+    }
+    for name, (_, cfg) in nan_entries.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     return {
         **{f"check-viscosity-{name}": ["check-viscosity", str(tmp_path / f"{name}.json")]
            for name in configs},
@@ -287,6 +302,8 @@ def _malformed_inputs(tmp_path):
         "geodesic-i-too-large": ["geodesic", str(measures), "--i", "9"],
         "reproduce-ex3-p3": ["reproduce", "ex3", "--p", "3"],
         "acceptance-no-match": ["acceptance", "--only", "no-such-criterion"],
+        **{name: [cmd, str(tmp_path / f"{name}.json")]
+           for name, (cmd, _) in nan_entries.items()},
     }
 
 
@@ -302,7 +319,8 @@ def _malformed_inputs(tmp_path):
     "check-viscosity-budget-fractional", "descend-steps-fractional",
     "wp-weights-string", "wp-dim-fractional", "wp-j-too-large", "wp-i-negative",
     "wp-p-nan", "wp-p-inf", "geodesic-i-too-large", "reproduce-ex3-p3",
-    "acceptance-no-match",
+    "acceptance-no-match", "busemann-t_max-nan", "busemann-tol-nan",
+    "descend-epsilon-nan", "descend-step_length-nan", "check-viscosity-radii-nan",
 ])
 def test_cli_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert main(_malformed_inputs(tmp_path)[case]) == 2

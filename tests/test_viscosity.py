@@ -148,10 +148,10 @@ def test_slope_dichotomy():
 def test_sphere_test_checks_radii_and_eps_up_front():
     U = lift(BusemannField(np.array([1.0])), 2.0)
     omega = _mix((0.0, 0.5), (1.0, 0.5))
-    for radii in ((-1.0,), (0.1, 0.5)):
+    for radii in ((-1.0,), (0.1, 0.5), (math.nan,), (1.0, math.nan), (math.nan, 0.5)):
         with pytest.raises(DomainError, match="radii must be positive"):
             viscosity_sphere_test(U, omega, radii=radii, rng=0)
-    for eps in (-1.0, 0.0, 1.0):
+    for eps in (-1.0, 0.0, 1.0, math.nan):
         with pytest.raises(DomainError, match="eps"):
             viscosity_sphere_test(U, omega, eps=eps, rng=0)
 
@@ -241,8 +241,11 @@ def test_greedy_descent_follows_ray():
     assert abs((poly.values[0] - poly.values[-1]) - 20.0) <= 1e-8
     assert poly.check_inequality()
     assert poly.observed_slack() <= 1e-2
-    with pytest.raises(DomainError, match="step_length"):
-        greedy_descent(U, omega, eps=1e-2, steps=1, step_length=-1.0, rng=rng)
+    for step_length in (-1.0, math.nan):
+        with pytest.raises(DomainError, match="step_length"):
+            greedy_descent(U, omega, eps=1e-2, steps=1, step_length=step_length, rng=rng)
+    with pytest.raises(DomainError, match="eps nan"):
+        greedy_descent(U, omega, eps=math.nan, steps=1, rng=rng)
 
 
 def test_greedy_descent_constant_stalls_at_first_step():

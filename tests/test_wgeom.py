@@ -158,6 +158,11 @@ def test_busemann_trace_monotone_and_errors():
         busemann_estimate(ray, omega, tol=0.0)
     with pytest.raises(DomainError):
         busemann_estimate(ray, omega, t_max=0.5)
+    with pytest.raises(DomainError, match="tolerance nan"):
+        busemann_estimate(ray, omega, tol=math.nan)
+    for t_max in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            busemann_estimate(ray, omega, t_max=t_max)
 
 
 def test_sphere_sample_dirac_translation():
