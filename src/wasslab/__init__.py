@@ -19,7 +19,6 @@ from .discrete_measure import (
     MeasureSetSequence,
     dirac,
     p_moment,
-    push_forward,
     random_measure,
     validate_measure,
 )
@@ -69,7 +68,7 @@ __all__ = [
     "BaseRay", "BusemannField", "CustomField", "DistanceField", "MinField",
     "ScalarField", "as_point", "base_field_from_config", "base_geodesic_eval",
     "min_combine",
-    "DiscreteMeasure", "MeasureSetSequence", "dirac", "p_moment", "push_forward",
+    "DiscreteMeasure", "MeasureSetSequence", "dirac", "p_moment",
     "random_measure", "validate_measure",
     "Coupling", "TransportResult", "brute_force_oracle", "wasserstein_1d_oracle",
     "wasserstein_exact",

@@ -8,6 +8,8 @@ analytically known steepest-descent rays.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,6 +19,7 @@ from .errors import (
     DimensionError,
     DomainError,
     EmptyCollection,
+    InvalidRay,
     ParseError,
     UnsupportedField,
     json_numbers,
@@ -88,17 +91,22 @@ class BaseRay:
         return self.origin.shape[0]
 
     def eval(self, t: float) -> BasePoint:
-        if t < 0.0:
-            raise DomainError(f"ray parameter {t} must be non-negative")
+        check_ray_time(t)
         return self.origin + (t * self.speed) * self.direction
+
+
+def check_ray_time(t: float) -> None:
+    """Raise `DomainError` unless the ray parameter t is finite and non-negative."""
+    if not (math.isfinite(t) and t >= 0.0):  # nan fails every comparison
+        raise DomainError(f"ray parameter t={t} must be finite and non-negative")
 
 
 class ScalarField:
     """A real function on R^d with a declared Lipschitz bound.
 
     Subclasses provide `evaluate`; the built-in variants are all exactly
-    1-Lipschitz and, except where noted, expose the steepest-descent ray
-    through any point via `negative_gradient_ray`.
+    1-Lipschitz and, except where noted, give the steepest-descent rays
+    through a batch of points via `descent_rays`.
     """
 
     dim: int
@@ -110,8 +118,20 @@ class ScalarField:
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         return np.array([self.evaluate(p) for p in pts], dtype=float)
 
-    def negative_gradient_ray(self, x) -> BaseRay:
+    def descent_rays(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unit-speed descent rays through the rows of an (n, dim) array.
+
+        Returns (origins, directions), both (n, dim), with unit direction rows.
+        """
         raise UnsupportedField(f"{type(self).__name__} has no registered descent ray")
+
+    def negative_gradient_ray(self, x) -> BaseRay:
+        """The descent ray through the single point x."""
+        p = as_point(x)
+        if p.shape[0] != self.dim:
+            raise DimensionError(f"dimension mismatch: {p.shape[0]} vs {self.dim}")
+        origins, directions = self.descent_rays(p[None, :])
+        return BaseRay(origins[0], directions[0])
 
     @property
     def has_analytic_rays(self) -> bool:
@@ -157,8 +177,8 @@ class BusemannField(ScalarField):
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         return self.offset - pts @ self.direction
 
-    def negative_gradient_ray(self, x) -> BaseRay:
-        return BaseRay(as_point(x), self.direction)
+    def descent_rays(self, pts):
+        return pts, np.repeat(self.direction[None, :], pts.shape[0], axis=0)
 
     @property
     def has_analytic_rays(self) -> bool:
@@ -196,12 +216,16 @@ class MinField(ScalarField):
         return min(f.evaluate(x) for f in self.fields)
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.min([f.evaluate_many(pts) for f in self.fields], axis=0)
+        return functools.reduce(np.minimum, [f.evaluate_many(pts) for f in self.fields])
 
-    def negative_gradient_ray(self, x) -> BaseRay:
-        values = [f.evaluate(x) for f in self.fields]
-        k = int(np.argmin(values))
-        return self.fields[k].negative_gradient_ray(x)
+    def descent_rays(self, pts):
+        pick = np.array([f.evaluate_many(pts) for f in self.fields]).argmin(axis=0).tolist()
+        origins, directions = np.empty_like(pts), np.empty_like(pts)
+        for k in set(pick):
+            # index lists, not a boolean mask, whose nonzero kernel costs resident memory
+            rows = [i for i, j in enumerate(pick) if j == k]
+            origins[rows], directions[rows] = self.fields[k].descent_rays(pts[rows])
+        return origins, directions
 
     @property
     def has_analytic_rays(self) -> bool:
@@ -247,23 +271,20 @@ class DistanceField(ScalarField):
         diffs = pts[:, None, :] - self.points[None, :, :]
         return self.sign * np.min(np.linalg.norm(diffs, axis=2), axis=1)
 
-    def negative_gradient_ray(self, x) -> BaseRay:
+    def descent_rays(self, pts):
         if self.sign != -1:
             raise UnsupportedField("descent of +distance stops at the anchor set")
         if self.points.shape[0] != 1:
             raise UnsupportedField(
                 "away-from-nearest is not a global descent ray with several anchors"
             )
-        p = as_point(x)
-        anchor = self.points[0]
-        dist = float(np.linalg.norm(p - anchor))
-        if dist <= UNIT_TOL:
-            # at the anchor every outward direction calibrates; pick e_1
-            direction = np.zeros(self.dim)
-            direction[0] = 1.0
-        else:
-            direction = (p - anchor) / dist
-        return BaseRay(p, direction)
+        away = pts - self.points[0]
+        dist = np.sqrt(np.vecdot(away, away))  # per row, the bits of np.linalg.norm
+        at_anchor = dist <= UNIT_TOL
+        # at the anchor every outward direction calibrates; pick e_1
+        directions = np.where(at_anchor[:, None], np.eye(self.dim)[0],
+                              away / np.where(at_anchor, 1.0, dist)[:, None])
+        return pts, directions
 
     @property
     def has_analytic_rays(self) -> bool:
@@ -289,10 +310,13 @@ class CustomField(ScalarField):
             raise DimensionError(f"dimension mismatch: {p.shape[0]} vs {self.dim}")
         return float(self.fn(p))
 
-    def negative_gradient_ray(self, x) -> BaseRay:
+    def descent_rays(self, pts):
         if self.ray_fn is None:
             raise UnsupportedField("custom field has no registered descent-ray generator")
-        return self.ray_fn(as_point(x))
+        rays = [self.ray_fn(p) for p in pts]
+        if any(abs(r.speed - 1.0) > UNIT_TOL for r in rays):
+            raise InvalidRay("a registered descent ray must have unit speed")
+        return np.array([r.origin for r in rays]), np.array([r.direction for r in rays])
 
     @property
     def has_analytic_rays(self) -> bool:

@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     EmptyMeasure,
     InvalidWeight,
-    MapRangeError,
     NotNormalized,
     ParseError,
     json_numbers,
@@ -130,11 +129,12 @@ def validate_measure(support, weights) -> DiscreteMeasure:
     if w.shape[0] != n:
         raise InvalidWeight(f"{n} atoms but {w.shape[0]} weights")
     total = float(w.sum())
-    if not (math.isfinite(total) and w.min() >= 0.0):  # else both checks pass
+    low = w.min()  # a permutation keeps it; a renormalization or a merge retakes it
+    if not (math.isfinite(total) and low >= 0.0):  # else both checks pass
         if not np.isfinite(w).all():
             raise InvalidWeight("weights must be finite")
-        if (w < 0.0).any():
-            raise InvalidWeight(f"negative weight {float(w.min())}")
+        if low < 0.0:
+            raise InvalidWeight(f"negative weight {float(low)}")
     # the 1e-15 grace keeps decimal inputs sitting exactly on the boundary
     # (e.g. a sum printed as 0.999999999) on the repairable side
     if abs(total - 1.0) > SUM_FIX_TOL + 1e-15:
@@ -142,6 +142,7 @@ def validate_measure(support, weights) -> DiscreteMeasure:
     if abs(total - 1.0) > SUM_KEEP_TOL:
         warnings.warn(f"weights sum to {total}, renormalizing", stacklevel=2)
         w = w / total
+        low = w.min()
 
     if n > 1:
         order = np.lexsort(pts.T[::-1])
@@ -152,10 +153,11 @@ def validate_measure(support, weights) -> DiscreteMeasure:
         gaps = x0[1:] - x0[:-1]
         if gaps.min() <= MERGE_TOL:
             pts, w = _merge_runs(pts, w, gaps <= MERGE_TOL)
+            low = w.min()
     else:  # copies, so the measure never shares memory with the caller
         pts, w = pts.copy(), w.copy()
 
-    if w.min() < PRUNE_TOL:
+    if low < PRUNE_TOL:
         keep = w >= PRUNE_TOL
         pts, w = pts[keep], w[keep]
         if pts.shape[0] == 0:
@@ -215,20 +217,6 @@ def p_moment(m: DiscreteMeasure, p: float, x0) -> float:
         raise DimensionError(f"reference point dim {ref.shape[0]} vs measure dim {m.dim}")
     dists = np.linalg.norm(m.support - ref, axis=1)
     return float(np.dot(m.weights, dists**p))
-
-
-def push_forward(m: DiscreteMeasure, f: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
-    """Image measure under a point map; atoms mapped, weights carried over."""
-    rows = []
-    for x in m.support:
-        y = np.asarray(f(x), dtype=float).reshape(-1)
-        if not np.all(np.isfinite(y)):
-            raise MapRangeError(f"map produced non-finite image for atom {x}")
-        rows.append(y)
-    dims = {r.shape[0] for r in rows}
-    if len(dims) != 1:
-        raise MapRangeError(f"map produced inconsistent image dimensions {sorted(dims)}")
-    return validate_measure(np.array(rows), m.weights)
 
 
 def random_measure(rng: np.random.Generator, max_atoms: int, dim: int,

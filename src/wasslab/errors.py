@@ -33,10 +33,6 @@ class EmptyMeasure(WasslabError):
     """A measure must carry at least one atom."""
 
 
-class MapRangeError(WasslabError):
-    """A point map produced non-finite coordinates."""
-
-
 class SolverStalled(WasslabError):
     """Transport solver exceeded its iteration cap; treated as a bug signal."""
 

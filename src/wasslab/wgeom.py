@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_space import BaseRay, ScalarField
+from .base_space import UNIT_TOL, BaseRay, ScalarField, check_ray_time
 from .discrete_measure import DiscreteMeasure, MeasureSetSequence, check_exponent, validate_measure
 from .errors import (
     DimensionError,
@@ -61,6 +61,8 @@ class WassersteinPath:
     nonunique: bool
 
     def eval(self, t: float) -> DiscreteMeasure:
+        if not math.isfinite(t):
+            raise DomainError(f"time t={t} must be finite")
         if self.degenerate:
             if abs(t) > _T_EDGE_TOL:
                 raise DomainError(f"degenerate path is defined only at t=0, got {t}")
@@ -106,45 +108,60 @@ def displacement_path(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0,
 
 @dataclass(frozen=True, eq=False)
 class WassersteinRay:
-    """Unit-speed ray t -> sum_i w_i delta_{gamma_i(t)}.
+    """Unit-speed ray t -> sum_i w_i delta_{origins[i] + t * directions[i]}.
 
-    Valid when the per-atom rays are descent rays of one shared 1-Lipschitz
-    base field; `from_base_field` constructs exactly that. Rays assembled by
-    hand should go through `wasserstein_ray`, which certifies unit speed
-    with the transport solver.
+    `origins` and `directions` are (n, d) arrays with one row per atom of
+    `base` (whose weights the ray carries) and unit direction rows. Valid
+    when the rows are descent rays of one shared 1-Lipschitz base field;
+    `from_base_field` constructs exactly that. Rays assembled by hand should
+    go through `wasserstein_ray`, which certifies unit speed with the
+    transport solver.
     """
 
     base: DiscreteMeasure
-    rays: tuple[BaseRay, ...]
+    origins: np.ndarray
+    directions: np.ndarray
     p: float = 2.0
 
     def __post_init__(self):
-        if len(self.rays) != self.base.n_atoms:
-            raise InvalidRay(
-                f"{self.base.n_atoms} atoms but {len(self.rays)} per-atom rays"
-            )
-        for r in self.rays:
-            if r.dim != self.base.dim:
-                raise DimensionError(f"ray dim {r.dim} vs measure dim {self.base.dim}")
-            if abs(r.speed - 1.0) > 1e-12:
-                raise InvalidRay(f"per-atom rays must be unit speed, got {r.speed}")
+        n, d = self.base.n_atoms, self.base.dim
+        for name in ("origins", "directions"):
+            rows = np.array(getattr(self, name), dtype=float)
+            if rows.ndim != 2 or rows.shape[0] != n:
+                raise InvalidRay(f"{n} atoms but {name} of shape {rows.shape}")
+            if rows.shape[1] != d:
+                raise DimensionError(f"ray dim {rows.shape[1]} vs measure dim {d}")
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
+        speeds = np.sqrt((self.directions * self.directions).sum(axis=1))
+        if not (np.abs(speeds - 1.0) <= UNIT_TOL).all():  # nan fails it too
+            raise InvalidRay(f"per-atom rays must be unit speed, got {speeds.tolist()}")
 
     def eval(self, t: float) -> DiscreteMeasure:
-        if t < 0.0:
-            raise DomainError(f"ray parameter {t} must be non-negative")
-        pts = np.array([r.eval(t) for r in self.rays])
-        return validate_measure(pts, self.base.weights)
+        check_ray_time(t)
+        return validate_measure(self.origins + t * self.directions, self.base.weights)
 
     @classmethod
     def from_base_field(cls, field: ScalarField, omega: DiscreteMeasure,
                         p: float = 2.0) -> "WassersteinRay":
-        rays = tuple(field.negative_gradient_ray(x) for x in omega.support)
-        return cls(omega, rays, p)
+        if field.dim != omega.dim:
+            raise DimensionError(f"field dim {field.dim} vs measure dim {omega.dim}")
+        return cls(omega, *field.descent_rays(omega.support), p)
+
+
+def _ray_rows(rays) -> tuple[np.ndarray, np.ndarray]:
+    """(origins, directions) of per-atom rays; a direction row carries its ray's speed."""
+    rays = tuple(rays)
+    dims = {r.dim for r in rays}
+    if len(dims) > 1:
+        raise DimensionError(f"per-atom rays disagree on dimension: {sorted(dims)}")
+    return (np.array([r.origin for r in rays]),
+            np.array([r.speed * r.direction for r in rays]))
 
 
 def wasserstein_ray(base: DiscreteMeasure, rays, p: float = 2.0) -> WassersteinRay:
     """Assemble a ray from explicit per-atom rays, solver-certifying unit speed."""
-    ray = WassersteinRay(base, tuple(rays), p)
+    ray = WassersteinRay(base, *_ray_rows(rays), p)
     start = ray.eval(0.0)
     for t in (1.0, 10.0):
         d = wasserstein_exact(start, ray.eval(t), p).value
@@ -157,7 +174,7 @@ def dirac_ray(x, direction, p: float = 2.0) -> WassersteinRay:
     """Ray of unit masses along a base ray; always unit speed."""
     origin = np.asarray(x, dtype=float).reshape(1, -1)
     base = validate_measure(origin, np.ones(1))
-    return WassersteinRay(base, (BaseRay(origin[0], direction),), p)
+    return WassersteinRay(base, *_ray_rows([BaseRay(origin[0], direction)]), p)
 
 
 @dataclass(frozen=True)
@@ -231,7 +248,7 @@ SPHERE_BAND = (0.9, 1.1)  # accepted certified-distance band around the radius
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     while True:
         v = rng.normal(size=dim)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v.dot(v))  # the bits of np.linalg.norm, without its overhead
         if norm > 1e-8:
             return v / norm
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,12 @@ def test_ray_eval_examples():
     assert np.allclose(r2.eval(3.0), [-5.0])
     with pytest.raises(DomainError):
         r.eval(-0.1)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_ray_eval_refuses_a_non_finite_time(t):
+    with pytest.raises(DomainError, match="t="):
+        BaseRay(np.zeros(1), np.array([1.0])).eval(t)
 
 
 def test_ray_direction_renormalized_or_rejected():

@@ -12,7 +12,6 @@ from wasslab.discrete_measure import (
     MeasureSetSequence,
     dirac,
     p_moment,
-    push_forward,
     random_measure,
     validate_measure,
 )
@@ -20,7 +19,6 @@ from wasslab.errors import (
     DomainError,
     EmptyMeasure,
     InvalidWeight,
-    MapRangeError,
     NotNormalized,
 )
 
@@ -183,25 +181,6 @@ def test_p_moment_translation_covariance():
         x0 = rng.uniform(-4, 4, 3)
         p = float(rng.uniform(1, 3))
         assert abs(p_moment(m.translate(v), p, x0 + v) - p_moment(m, p, x0)) <= 1e-10
-
-
-def test_push_forward_examples():
-    assert np.allclose(push_forward(dirac([0.0]), lambda x: x + 2.0).support, [[2.0]])
-    m = validate_measure([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5])
-    const = push_forward(m, lambda x: np.array([7.0]))
-    assert const.n_atoms == 1 and const.weights[0] == 1.0
-    ident = push_forward(m, lambda x: x)
-    assert np.array_equal(ident.support, m.support)
-    assert np.array_equal(ident.weights, m.weights)
-
-
-def test_push_forward_mass_and_errors():
-    rng = np.random.default_rng(3)
-    m = random_measure(rng, 10, 2)
-    out = push_forward(m, lambda x: np.sin(x) * 3.0)
-    assert abs(out.weights.sum() - 1.0) <= 1e-12
-    with pytest.raises(MapRangeError):
-        push_forward(m, lambda x: np.full_like(x, np.inf))
 
 
 def test_json_round_trip_bit_exact():

@@ -300,6 +300,10 @@ def _malformed_inputs(tmp_path):
         "wp-p-inf": ["wp", str(measures), "--p", "inf"],
         "descend-steps-fractional": ["descend", str(fractional_steps)],
         "geodesic-i-too-large": ["geodesic", str(measures), "--i", "9"],
+        "geodesic-t-nan": ["geodesic", str(measures), "--t", "nan"],
+        "geodesic-frac-nan": ["geodesic", str(measures), "--frac", "nan"],
+        # measures 0 and 0 give a degenerate path, which once returned its source at nan
+        "geodesic-t-nan-degenerate": ["geodesic", str(measures), "--j", "0", "--t", "nan"],
         "reproduce-ex3-p3": ["reproduce", "ex3", "--p", "3"],
         "acceptance-no-match": ["acceptance", "--only", "no-such-criterion"],
         **{name: [cmd, str(tmp_path / f"{name}.json")]
@@ -318,7 +322,8 @@ def _malformed_inputs(tmp_path):
     "check-viscosity-sign-bool", "check-viscosity-value-bool",
     "check-viscosity-budget-fractional", "descend-steps-fractional",
     "wp-weights-string", "wp-dim-fractional", "wp-j-too-large", "wp-i-negative",
-    "wp-p-nan", "wp-p-inf", "geodesic-i-too-large", "reproduce-ex3-p3",
+    "wp-p-nan", "wp-p-inf", "geodesic-i-too-large", "geodesic-t-nan",
+    "geodesic-frac-nan", "geodesic-t-nan-degenerate", "reproduce-ex3-p3",
     "acceptance-no-match", "busemann-t_max-nan", "busemann-tol-nan",
     "descend-epsilon-nan", "descend-step_length-nan", "check-viscosity-radii-nan",
 ])

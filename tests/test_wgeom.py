@@ -2,9 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wasslab import wgeom
-from wasslab.base_space import BaseRay, BusemannField
+from wasslab.base_space import (
+    UNIT_TOL,
+    BaseRay,
+    BusemannField,
+    CustomField,
+    DistanceField,
+    MinField,
+    min_combine,
+)
 from wasslab.discrete_measure import (
     MeasureSetSequence,
     dirac,
@@ -12,6 +22,7 @@ from wasslab.discrete_measure import (
     validate_measure,
 )
 from wasslab.errors import (
+    DimensionError,
     DomainError,
     EmptyCollection,
     InvalidRay,
@@ -98,8 +109,7 @@ def test_wasserstein_ray_construction_checks():
         wasserstein_ray(base, (BaseRay(np.array([0.0]), np.array([1.0])),
                                BaseRay(np.array([1.0]), np.array([-1.0]))), 2.0)
     with pytest.raises(InvalidRay):
-        WassersteinRay(base, (BaseRay(np.array([0.0]), np.array([1.0])),
-                              BaseRay(np.array([1.0]), np.array([1.0]), speed=2.0)), 2.0)
+        WassersteinRay(base, np.array([[0.0], [1.0]]), np.array([[1.0], [2.0]]), 2.0)
 
 
 def test_busemann_own_ray_is_zero():
@@ -302,3 +312,121 @@ def test_dlc_limit_errors():
 def test_path_eval_at_arc_length():
     path = displacement_path(dirac([0.0]), dirac([4.0]), 2.0)
     assert path.eval(1.0).support[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_eval_refuses_a_non_finite_time(t):
+    mu = validate_measure([[0.0], [2.0]], [0.5, 0.5])
+    nu = validate_measure([[1.0], [3.0]], [0.5, 0.5])
+    # a degenerate path once returned its source at nan
+    for path in (displacement_path(mu, nu, 2.0), displacement_path(mu, mu, 2.0)):
+        with pytest.raises(DomainError, match="t="):
+            path.eval(t)
+    with pytest.raises(DomainError, match="t="):
+        dirac_ray([0.0], [1.0], 2.0).eval(t)
+
+
+def test_every_ray_construction_refuses_count_dimension_and_speed():
+    base = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    e1 = np.array([1.0])
+    with pytest.raises(InvalidRay):
+        WassersteinRay(base, np.zeros((3, 1)), np.ones((3, 1)), 2.0)
+    with pytest.raises(DimensionError):
+        WassersteinRay(base, np.zeros((2, 2)), np.array([[1.0, 0.0]] * 2), 2.0)
+    with pytest.raises(InvalidRay):
+        WassersteinRay(base, np.zeros((2, 1)), np.array([[1.0], [math.nan]]), 2.0)
+    with pytest.raises(InvalidRay):
+        wasserstein_ray(base, [BaseRay(np.zeros(1), e1)], 2.0)
+    with pytest.raises(DimensionError):
+        wasserstein_ray(base, [BaseRay(np.zeros(2), np.array([1.0, 0.0]))] * 2, 2.0)
+    with pytest.raises(DimensionError):
+        wasserstein_ray(base, [BaseRay(np.zeros(1), e1), BaseRay(np.zeros(2), [1.0, 0.0])], 2.0)
+    with pytest.raises(InvalidRay):
+        wasserstein_ray(base, [BaseRay(np.zeros(1), e1, speed=2.0)] * 2, 2.0)
+    with pytest.raises(DimensionError):
+        dirac_ray([0.0], [1.0, 0.0], 2.0)
+    with pytest.raises(DomainError):
+        dirac_ray([0.0], [1.1], 2.0)
+    with pytest.raises(DimensionError):
+        WassersteinRay.from_base_field(BusemannField(np.array([1.0, 0.0])), base, 2.0)
+    fast = CustomField(lambda x: -2.0 * x[0], dim=1,
+                       ray_fn=lambda x: BaseRay(x, e1, speed=2.0))
+    with pytest.raises(InvalidRay):
+        WassersteinRay.from_base_field(fast, base, 2.0)
+
+
+def test_custom_field_rays_keep_the_origins_ray_fn_returns():
+    base = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    u = CustomField(lambda x: -x[0], dim=1, ray_fn=lambda x: BaseRay(x + 1.0, [1.0]))
+    ray = WassersteinRay.from_base_field(u, base, 2.0)
+    assert np.array_equal(ray.origins, [[1.0], [2.0]])
+    assert np.array_equal(ray.directions, [[1.0], [1.0]])
+    assert np.array_equal(ray.eval(0.5).support, [[1.5], [2.5]])
+
+
+@st.composite
+def _lifted_case(draw):
+    """A measure of 1-6 atoms in R^d, d <= 3, and a base field with global rays.
+
+    The field is a minimum of 1-4 Busemann fields or a single-anchor distance
+    field, sometimes behind a `CustomField` whose `ray_fn` is the field's own
+    per-point ray. An atom at the origin, grid coordinates, signed axis
+    directions and offsets in {0, 1} plant exact ties between members; an
+    anchor drawn from the atoms
+    puts an atom on it. Returns the measure, the field to lift and the field
+    whose definition gives the expected rays.
+    """
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 6))
+    coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
+    pts = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                 min_size=n, max_size=n)))
+    if draw(st.booleans()):  # at the origin every member's value is its offset
+        pts[0] = 0.0
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    omega = validate_measure(pts, w / w.sum())
+    if draw(st.booleans()):
+        anchor = pts[draw(st.integers(0, n - 1))] if draw(st.booleans()) else \
+            np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+        u = DistanceField(anchor[None, :])
+    else:
+        members = []
+        for _ in range(draw(st.integers(1, 4))):
+            v = np.zeros(d)
+            if draw(st.booleans()):
+                v[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+            else:
+                v += draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+                v = v / np.linalg.norm(v) if np.linalg.norm(v) > 0.1 else np.eye(d)[0]
+            offset = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-2.0, 2.0)))
+            members.append(BusemannField(v, offset))
+        u = min_combine(members)
+    lifted = CustomField(u.evaluate, dim=d, ray_fn=u.negative_gradient_ray) \
+        if draw(st.booleans()) else u
+    return omega, lifted, u
+
+
+def _expected_direction(u, x):
+    """Descent direction at x from the definition: lowest-index minimizer, or away from the anchor."""
+    if isinstance(u, DistanceField):
+        away = x - u.points[0]
+        dist = np.linalg.norm(away)
+        return np.eye(x.shape[0])[0] if dist <= UNIT_TOL else away / dist
+    members = u.fields if isinstance(u, MinField) else (u,)
+    values = [f.evaluate(x) for f in members]
+    return members[values.index(min(values))].direction
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_lifted_case(), st.sampled_from([1.0, 2.0, 3.0]))
+def test_lifted_rays_match_their_definition(case, p):
+    omega, lifted, u = case
+    U = lift(lifted, p)
+    ray = lifted_ray(U, omega)
+    assert np.array_equal(ray.origins, omega.support)
+    for x, direction in zip(omega.support, ray.directions):
+        assert np.allclose(direction, _expected_direction(u, x), rtol=0.0, atol=1e-15)
+    for t in (0.5, 3.0):
+        moved = ray.eval(t)
+        assert abs(U.evaluate(omega) - U.evaluate(moved) - t) <= 1e-9
+        assert abs(wasserstein_exact(omega, moved, p).value - t) <= 1e-8
