@@ -279,7 +279,9 @@ class DistanceField(ScalarField):
                 "away-from-nearest is not a global descent ray with several anchors"
             )
         away = pts - self.points[0]
-        dist = np.sqrt(np.vecdot(away, away))  # per row, the bits of np.linalg.norm
+        # a (1, d) @ (d, 1) product per row is the dot product np.linalg.norm
+        # takes of one point, so the rows keep its bits; a sum of squares does not
+        dist = np.sqrt((away[:, None, :] @ away[:, :, None]).reshape(-1))
         at_anchor = dist <= UNIT_TOL
         # at the anchor every outward direction calibrates; pick e_1
         directions = np.where(at_anchor[:, None], np.eye(self.dim)[0],

@@ -129,12 +129,11 @@ def validate_measure(support, weights) -> DiscreteMeasure:
     if w.shape[0] != n:
         raise InvalidWeight(f"{n} atoms but {w.shape[0]} weights")
     total = float(w.sum())
-    low = w.min()  # a permutation keeps it; a renormalization or a merge retakes it
-    if not (math.isfinite(total) and low >= 0.0):  # else both checks pass
+    if not (math.isfinite(total) and w.min() >= 0.0):  # else both checks pass
         if not np.isfinite(w).all():
             raise InvalidWeight("weights must be finite")
-        if low < 0.0:
-            raise InvalidWeight(f"negative weight {float(low)}")
+        if (w < 0.0).any():
+            raise InvalidWeight(f"negative weight {float(w.min())}")
     # the 1e-15 grace keeps decimal inputs sitting exactly on the boundary
     # (e.g. a sum printed as 0.999999999) on the repairable side
     if abs(total - 1.0) > SUM_FIX_TOL + 1e-15:
@@ -142,7 +141,6 @@ def validate_measure(support, weights) -> DiscreteMeasure:
     if abs(total - 1.0) > SUM_KEEP_TOL:
         warnings.warn(f"weights sum to {total}, renormalizing", stacklevel=2)
         w = w / total
-        low = w.min()
 
     if n > 1:
         order = np.lexsort(pts.T[::-1])
@@ -153,11 +151,10 @@ def validate_measure(support, weights) -> DiscreteMeasure:
         gaps = x0[1:] - x0[:-1]
         if gaps.min() <= MERGE_TOL:
             pts, w = _merge_runs(pts, w, gaps <= MERGE_TOL)
-            low = w.min()
     else:  # copies, so the measure never shares memory with the caller
         pts, w = pts.copy(), w.copy()
 
-    if low < PRUNE_TOL:
+    if w.min() < PRUNE_TOL:
         keep = w >= PRUNE_TOL
         pts, w = pts[keep], w[keep]
         if pts.shape[0] == 0:

@@ -182,6 +182,18 @@ def test_distance_field_rays():
         DistanceField(np.array([[0.0, 0.0]]), sign=1).negative_gradient_ray([3.0, 0.0])
 
 
+def test_distance_field_batch_rays_have_the_bits_of_one_point():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        anchor = rng.normal(size=d)
+        u = DistanceField(anchor[None, :], sign=-1)
+        pts = rng.normal(scale=4.0, size=(300, d))
+        origins, directions = u.descent_rays(pts)
+        assert np.array_equal(origins, pts)
+        for x, direction in zip(pts, directions):
+            assert np.array_equal(direction, (x - anchor) / np.linalg.norm(x - anchor))
+
+
 def test_custom_field_ray_registration():
     u = CustomField(lambda p: min(0.0, -p[0]), dim=1)
     assert u.evaluate([2.0]) == -2.0
