@@ -68,8 +68,9 @@ class BaseRay:
     speed: float = 1.0
 
     def __post_init__(self):
-        origin = as_point(self.origin)
-        direction = np.asarray(self.direction, dtype=float)
+        # copies, so that freezing them never freezes the caller's arrays
+        origin = as_point(self.origin).copy()
+        direction = np.array(self.direction, dtype=float)
         if direction.ndim == 0:
             direction = direction.reshape(1)
         _same_dim(origin, direction)
@@ -153,7 +154,7 @@ class BusemannField(ScalarField):
     offset: float = 0.0
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
+        d = np.array(self.direction, dtype=float)  # a copy, so freezing it spares the caller's
         if d.ndim == 0:
             d = d.reshape(1)
         norm = float(np.linalg.norm(d))
@@ -247,7 +248,7 @@ class DistanceField(ScalarField):
     sign: int = -1
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.atleast_2d(np.array(self.points, dtype=float))  # a copy, as in BusemannField
         if pts.size == 0:
             raise EmptyCollection("DistanceField needs at least one anchor point")
         if not np.all(np.isfinite(pts)):

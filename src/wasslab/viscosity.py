@@ -40,7 +40,7 @@ from .wgeom import (
     busemann_estimate,
     displacement_path,
     ensure_rng,
-    sphere_sample,
+    sphere_candidates,
 )
 
 PASS = "PASS"
@@ -234,19 +234,35 @@ class SlopeEstimate:
     skipped_radii: tuple[float, ...] = ()
 
 
-def _scan(U, omega, r, budget, rng):
-    """Candidates at radius r, analytic first, as (raw count, lazy stream of
-    (measure, certified distance, U(measure)) over the non-degenerate ones)."""
-    cands: list[tuple[DiscreteMeasure, float]] = []
-    analytic = U.descent_candidate(omega, r)
-    if analytic is not None:
-        cands.append((analytic, wasserstein_exact(omega, analytic, U.p).value))
-    try:
-        cands.extend(sphere_sample(omega, r, U.p, budget=budget, rng=rng))
-    except SphereSamplingFailed:
-        pass
-    return len(cands), ((x, cert, U.evaluate(x)) for x, cert in cands
-                        if cert > _DEGENERATE_PAIR)
+class _Scan:
+    """The candidates at radius r, analytic first, then the sphere samples.
+
+    Iterating yields (measure, certified distance, U(measure)) over the
+    non-degenerate candidates, and builds, certifies and evaluates each one
+    only when it is read; `n_candidates` counts the raw candidates read so
+    far. The sampler checks r and the budget when the scan is made, before
+    any solve.
+    """
+
+    def __init__(self, U, omega, r, budget, rng):
+        self.U, self.omega, self.r = U, omega, r
+        self.sampled = sphere_candidates(omega, r, U.p, budget, rng)
+        self.n_candidates = 0
+
+    def __iter__(self):
+        for x, cert in self._raw():
+            self.n_candidates += 1
+            if cert > _DEGENERATE_PAIR:
+                yield x, cert, self.U.evaluate(x)
+
+    def _raw(self):
+        analytic = self.U.descent_candidate(self.omega, self.r)
+        if analytic is not None:
+            yield analytic, wasserstein_exact(self.omega, analytic, self.U.p).value
+        try:
+            yield from self.sampled
+        except SphereSamplingFailed:
+            pass
 
 
 def _check_radii(radii: Sequence[float]) -> tuple[float, ...]:
@@ -268,14 +284,13 @@ def local_slope_estimate(U: MeasureField, omega: DiscreteMeasure,
     best: tuple[float, tuple | None] = (0.0, None)
     skipped = []
     for r in radii:
-        n_candidates, stream = _scan(U, omega, r, budget, rng)
-        if not n_candidates:
-            skipped.append(r)
-            continue
-        for x, cert, value in stream:
+        scan = _Scan(U, omega, r, budget, rng)
+        for x, cert, value in scan:
             ratio = max(base_value - value, 0.0) / cert
             if best[1] is None or ratio > best[0]:
                 best = (ratio, (x, cert, ratio))
+        if not scan.n_candidates:
+            skipped.append(r)
     return SlopeEstimate(best[0], best[1], radii, tuple(skipped))
 
 
@@ -358,19 +373,19 @@ def viscosity_sphere_test(U: MeasureField, omega: DiscreteMeasure,
     any_empty = False
     all_witnessed = True
     for r in radii:
-        n_candidates, stream = _scan(U, omega, r, budget, rng)
+        scan = _Scan(U, omega, r, budget, rng)
         witness = None
         best_gap = np.inf
-        for x, cert, value in stream:
+        for x, cert, value in scan:
             drop = base_value - value
             best_gap = min(best_gap, cert - drop)
             if witness is None and drop >= cert * (1.0 - eps):
                 witness = (x, cert, drop)
-        if not n_candidates:
+        if not scan.n_candidates:
             any_empty = True
         if witness is None:
             all_witnessed = False
-        probes.append(RadiusProbe(float(r), witness, float(best_gap), n_candidates))
+        probes.append(RadiusProbe(float(r), witness, float(best_gap), scan.n_candidates))
     if all_witnessed and not any_empty:
         verdict = PASS
     elif any_empty or not U.exhaustive:
@@ -416,10 +431,14 @@ def dlg_test(U: MeasureField, omega: DiscreteMeasure, levels: Sequence[float],
     The lower bound U(omega) >= c + d(omega, sublevel) is automatic for a
     1-Lipschitz field, so per level c the test searches for a witness x with
     U(x) <= c + 1e-9 at certified distance <= U(omega) - c + eps. Analytic
-    variants supply the exact witness at arc length U(omega) - c. At least
-    one level is required, and each must lie more than 1e-10 below
-    U(omega), so that the analytic and translate candidates, both at
-    certified distance about U(omega) - c, are never dropped as degenerate.
+    variants supply the exact witness at arc length U(omega) - c. The scan
+    stops at the first witness, so a level that the analytic candidate
+    witnesses draws nothing from rng, and one witnessed by a sphere sample
+    leaves rng where that sample left it. At least one level is required,
+    and each must lie more than 1e-10 below U(omega), so that the analytic
+    and translate candidates, both at certified distance about
+    U(omega) - c, are never dropped as degenerate; budget >= 1 is checked
+    before any candidate is solved.
     """
     base_value = U.evaluate(omega)
     if not levels or not all(c < base_value - _DEGENERATE_PAIR for c in levels):
@@ -429,8 +448,7 @@ def dlg_test(U: MeasureField, omega: DiscreteMeasure, levels: Sequence[float],
     probes: list[LevelProbe] = []
     for c in levels:
         delta = base_value - c
-        _, stream = _scan(U, omega, delta, budget, rng)
-        witness = next(((x, cert) for x, cert, value in stream
+        witness = next(((x, cert) for x, cert, value in _Scan(U, omega, delta, budget, rng)
                         if value <= c + 1e-9 and cert <= delta + eps), None)
         if witness is not None:
             verdict = PASS
@@ -510,10 +528,9 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
     drops: list[float] = []
     for k in range(1, steps + 1):
         defect = eps / 2.0**k
-        _, stream = _scan(U, vertices[-1], step_length, budget, rng)
         best = None  # (margin, x, cert, drop)
         worst_gap = np.inf
-        for x, cert, value in stream:
+        for x, cert, value in _Scan(U, vertices[-1], step_length, budget, rng):
             drop = values[-1] - value
             margin = drop - cert
             worst_gap = min(worst_gap, cert - drop)

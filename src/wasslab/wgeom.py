@@ -263,9 +263,15 @@ def _translate_candidate(omega, r, p, rng):
 
 
 def _atom_shift_candidate(omega, r, p, rng):
+    """Move one random atom by s along a random unit vector.
+
+    The search starts at s = r * w_i^(-1/p), where moving atom i alone costs
+    exactly r; a try outside the band (the atom met a neighbour) rescales s
+    by r / cert, clipped to [0.2, 5], for at most 8 tries.
+    """
     idx = int(rng.integers(omega.n_atoms))
     u = _random_unit(rng, omega.dim)
-    s = r
+    s = r * omega.weights[idx] ** (-1.0 / p)
     for _ in range(8):
         pts = omega.support.copy()
         pts[idx] = pts[idx] + s * u
@@ -294,35 +300,51 @@ def _path_candidate(omega, r, p, rng):
 _SPHERE_GENERATORS = (_translate_candidate, _atom_shift_candidate, _path_candidate)
 
 
-def sphere_sample(omega: DiscreteMeasure, r: float, p: float = 2.0,
-                  budget: int = 8, rng=None) -> list[tuple[DiscreteMeasure, float]]:
-    """Candidate measures at solver-certified distance ~r from omega.
+def sphere_candidates(omega: DiscreteMeasure, r: float, p: float = 2.0,
+                      budget: int = 8, rng=None):
+    """Lazy stream of the candidates `sphere_sample` returns, in its order.
 
-    Three generators, taken in turn: rigid translation (lands exactly at r),
-    single-atom displacement with a scale search, and transport toward a
-    random target measure truncated at arc length r. Every sample carries
-    the certified distance, which is what downstream calibration formulas
-    use; acceptance requires it inside [0.9 r, 1.1 r].
+    The radius and budget are checked now, before any solve; each candidate
+    is proposed and certified only when it is read. Read to the end, the
+    stream draws from rng exactly what `sphere_sample` draws, and raises
+    `SphereSamplingFailed` if no candidate landed in the band.
     """
     if not r > 0.0:
         raise DomainError(f"radius {r} must be positive")
     if budget < 1:
         raise DomainError(f"budget {budget} must be at least 1")
-    rng = ensure_rng(rng)
-    out: list[tuple[DiscreteMeasure, float]] = []
-    attempts = 0
+    return _sphere_stream(omega, r, p, budget, ensure_rng(rng))
+
+
+def _sphere_stream(omega, r, p, budget, rng):
+    found = attempts = 0
     max_attempts = 4 * budget + len(_SPHERE_GENERATORS)
-    while len(out) < budget and attempts < max_attempts:
+    while found < budget and attempts < max_attempts:
         got = _SPHERE_GENERATORS[attempts % len(_SPHERE_GENERATORS)](omega, r, p, rng)
         attempts += 1
         if got is not None and _in_band(got[1], r):
-            out.append(got)
-    if not out:
+            found += 1
+            yield got
+    if not found:
         raise SphereSamplingFailed(
             f"no candidate landed in [{SPHERE_BAND[0]*r:.3g}, {SPHERE_BAND[1]*r:.3g}] "
             f"after {attempts} attempts"
         )
-    return out
+
+
+def sphere_sample(omega: DiscreteMeasure, r: float, p: float = 2.0,
+                  budget: int = 8, rng=None) -> list[tuple[DiscreteMeasure, float]]:
+    """Candidate measures at solver-certified distance ~r from omega.
+
+    Three generators, taken in turn: rigid translation (lands exactly at r),
+    single-atom displacement with a scale search that starts where the move
+    alone costs r, and transport toward a random target measure truncated at
+    arc length r. Every sample carries the certified distance, which is what
+    downstream calibration formulas use; acceptance requires it inside
+    [0.9 r, 1.1 r]. Up to `budget` samples are kept from at most
+    4 * budget + 3 attempts. The list is `sphere_candidates` read to the end.
+    """
+    return list(sphere_candidates(omega, r, p, budget, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from wasslab import ot_exact
+from wasslab import ot_exact, viscosity, wgeom
 
 
 @pytest.fixture(autouse=True)
@@ -21,4 +21,17 @@ def basis_calls(monkeypatch) -> list:
         calls.append(C.shape)
         return basis(C, a, b, price)
     monkeypatch.setattr(ot_exact, "_simplex_basis", counted)
+    return calls
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """The (mu, nu) pairs of every exact solve the verdicts and the sphere sampler make."""
+    calls = []
+
+    def counted(mu, nu, p):
+        calls.append((mu, nu))
+        return ot_exact.wasserstein_exact(mu, nu, p)
+    for module in (viscosity, wgeom):
+        monkeypatch.setattr(module, "wasserstein_exact", counted)
     return calls

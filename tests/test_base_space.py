@@ -71,6 +71,18 @@ def test_ray_direction_renormalized_or_rejected():
         BaseRay(np.zeros(1), np.array([1.0]), speed=0.0)
 
 
+def test_frozen_arrays_are_copies_of_the_callers():
+    x, d, anchors = np.zeros(2), np.array([1.0, 0.0]), np.array([[0.0, 1.0]])
+    ray, field, dist = BaseRay(x, d), BusemannField(d), DistanceField(anchors)
+    for own, callers in ((ray.origin, x), (ray.direction, d), (field.direction, d),
+                         (dist.points, anchors)):
+        assert not own.flags.writeable
+        assert callers.flags.writeable and not np.shares_memory(own, callers)
+    x[0] = d[0] = anchors[0, 0] = 7.0
+    assert ray.origin[0] == 0.0 and ray.direction[0] == 1.0
+    assert field.direction[0] == 1.0 and dist.points[0, 0] == 0.0
+
+
 def test_ray_additivity_invariant():
     rng = np.random.default_rng(1)
     for _ in range(100):

@@ -35,7 +35,7 @@ from wasslab.viscosity import (
     representation_check,
     viscosity_sphere_test,
 )
-from wasslab.wgeom import WassersteinRay, dirac_ray, dlc_limit
+from wasslab.wgeom import WassersteinRay, dirac_ray, dlc_limit, sphere_sample
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -230,6 +230,47 @@ def test_dlg_lifted_passes_and_constant_fails():
     for levels in ((value,), (value - 5e-11,), ()):
         with pytest.raises(DomainError):
             dlg_test(U, omega, levels=levels, rng=rng)
+
+
+def test_dlg_stops_at_the_analytic_witness(solves):
+    rng = np.random.default_rng(12)
+    omega = random_measure(rng, 4, 2, box=2.0)
+    state = rng.bit_generator.state
+    U = lift(MinField((BusemannField(E1, 0.3), BusemannField(-E2))), 2.0)
+    value = U.evaluate(omega)
+    levels = (value - 0.5, value - 2.0, value - 7.0)
+    assert dlg_test(U, omega, levels, rng=rng).verdict == "PASS"
+    assert len(solves) == len(levels)  # each analytic witness's certificate
+    assert rng.bit_generator.state == state
+
+    target = random_measure(np.random.default_rng(13), 3, 2, box=2.0).translate([6.0, 0.0])
+    D = DistanceToField(target)
+    value = D.evaluate(omega)
+    levels = (value - 1.0, value - 3.0)  # both reached inside the geodesic to the target
+    solves.clear()
+    assert dlg_test(D, omega, levels, rng=rng).verdict == "PASS"
+    # U(omega), then per level the geodesic, its point's certificate and value
+    assert len(solves) == 1 + 3 * len(levels)
+    assert rng.bit_generator.state == state
+
+
+def test_dlg_checks_the_budget_before_any_solve(solves):
+    omega = dirac([0.0, 0.0])
+    U = lift(BusemannField(E1), 2.0)
+    with pytest.raises(DomainError, match="budget 0"):
+        dlg_test(U, omega, levels=(-1.0,), budget=0)
+    assert not solves
+
+
+def test_dlg_constant_reads_the_whole_stream():
+    omega = _mix((0.0, 0.5), (1.0, 0.5))
+    levels, budget = (-1.0, -2.5), 3
+    rng, replay = np.random.default_rng(14), np.random.default_rng(14)
+    res = dlg_test(ConstantField(0.0, 2.0), omega, levels, budget=budget, rng=rng)
+    assert res.verdict == "FAIL"
+    for c in levels:
+        sphere_sample(omega, -c, 2.0, budget=budget, rng=replay)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_greedy_descent_follows_ray():

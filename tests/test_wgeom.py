@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wasslab import wgeom
+from wasslab import ot_exact, wgeom
 from wasslab.base_space import (
     UNIT_TOL,
     BaseRay,
@@ -39,6 +39,7 @@ from wasslab.wgeom import (
     dirac_ray,
     displacement_path,
     dlc_limit,
+    sphere_candidates,
     sphere_sample,
     wasserstein_ray,
 )
@@ -191,7 +192,7 @@ def test_sphere_sample_translation_always_exact():
         assert abs(cert - 0.7) <= 1e-10
 
 
-def test_single_atom_shift_certificate():
+def test_single_atom_shift_certificate(solves):
     # moving the atom at 4 by +2 certifies sqrt(1/2 * 4) = sqrt(2) while the
     # identity pairing stays optimal
     omega = validate_measure([[0.0], [4.0]], [0.5, 0.5])
@@ -200,9 +201,63 @@ def test_single_atom_shift_certificate():
     assert abs(cert - math.sqrt(2.0)) <= 1e-12
     rng = np.random.default_rng(3)
     for _ in range(6):
+        solves.clear()
         cand, c = wgeom._atom_shift_candidate(omega, math.sqrt(2.0), 2.0, rng)
+        # the search starts at s = r / sqrt(1/2) = 2, where the move alone costs r
+        assert len(solves) == 1
         assert 0.9 * math.sqrt(2.0) <= c <= 1.1 * math.sqrt(2.0)
         assert abs(c - brute_force_oracle(omega, cand, 2.0).value) <= 1e-12
+
+
+def test_atom_shift_past_a_neighbour_still_lands(solves):
+    # s = 2 pushes an atom of 1/2 d0 + 1/2 d1 past the other one, where the
+    # monotone pairing costs less than r; the rescaled tries recover the band
+    omega = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    r = math.sqrt(2.0)
+    rng = np.random.default_rng(4)
+    tries = []
+    for _ in range(12):
+        solves.clear()
+        cand, c = wgeom._atom_shift_candidate(omega, r, 2.0, rng)
+        tries.append(len(solves))
+        assert 0.9 * r <= c <= 1.1 * r
+        assert abs(c - brute_force_oracle(omega, cand, 2.0).value) <= 1e-12
+    assert max(tries) > 1 and max(tries) <= 8
+
+
+def _read_all(candidates):
+    """The whole list a sampler call gives, or the message of its failure."""
+    try:
+        return list(candidates())
+    except SphereSamplingFailed as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.sampled_from([1, 2, 3]), st.sampled_from([1.0, 2.0, 3.0]),
+       st.integers(1, 6), st.floats(0.01, 3.0), st.integers(0, 2**32 - 1))
+def test_sphere_stream_read_to_the_end_is_sphere_sample(n, dim, p, budget, r, seed):
+    omega = random_measure(np.random.default_rng(seed), n, dim, box=2.0, min_atoms=n)
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    listed = _read_all(lambda: sphere_sample(omega, r, p, budget, rngs[0]))
+    ot_exact._memo.clear()  # the stream solves afresh, not from the list's memo entries
+    streamed = _read_all(lambda: sphere_candidates(omega, r, p, budget, rngs[1]))
+    if isinstance(listed, str):
+        assert streamed == listed
+    else:
+        assert len(streamed) == len(listed)
+        for (x, cert), (y, cert_y) in zip(listed, streamed):
+            assert x.support.tobytes() == y.support.tobytes()
+            assert x.weights.tobytes() == y.weights.tobytes()
+            assert cert == cert_y
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_sphere_stream_checks_its_arguments_before_any_solve(solves):
+    for r, budget in ((1.0, 0), (0.0, 2), (math.nan, 2)):
+        with pytest.raises(DomainError):
+            sphere_candidates(dirac([0.0]), r, 2.0, budget)
+    assert not solves
 
 
 def test_sphere_sample_failure_is_reported(monkeypatch):
