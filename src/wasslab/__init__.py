@@ -11,14 +11,12 @@ from .base_space import (
     ScalarField,
     as_point,
     base_field_from_config,
-    base_geodesic_eval,
     min_combine,
 )
 from .discrete_measure import (
     DiscreteMeasure,
     MeasureSetSequence,
     dirac,
-    p_moment,
     random_measure,
     validate_measure,
 )
@@ -66,10 +64,9 @@ from . import errors
 
 __all__ = [
     "BaseRay", "BusemannField", "CustomField", "DistanceField", "MinField",
-    "ScalarField", "as_point", "base_field_from_config", "base_geodesic_eval",
-    "min_combine",
-    "DiscreteMeasure", "MeasureSetSequence", "dirac", "p_moment",
-    "random_measure", "validate_measure",
+    "ScalarField", "as_point", "base_field_from_config", "min_combine",
+    "DiscreteMeasure", "MeasureSetSequence", "dirac", "random_measure",
+    "validate_measure",
     "Coupling", "TransportResult", "brute_force_oracle", "wasserstein_1d_oracle",
     "wasserstein_exact",
     "ConstantField", "DistanceToField", "InfField", "LiftedField", "MeasureField",

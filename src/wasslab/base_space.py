@@ -50,15 +50,6 @@ def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
-def base_geodesic_eval(a, b, t: float) -> BasePoint:
-    """Point at parameter t in [0, 1] on the segment from a to b."""
-    pa, pb = as_point(a), as_point(b)
-    _same_dim(pa, pb)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"geodesic parameter {t} outside [0, 1]")
-    return (1.0 - t) * pa + t * pb
-
-
 @dataclass(frozen=True, eq=False)
 class BaseRay:
     """Unit-direction ray t -> origin + t * speed * direction, t >= 0."""
@@ -328,12 +319,8 @@ class CustomField(ScalarField):
 
 def min_combine(fields: Sequence[ScalarField]) -> ScalarField:
     """Pointwise minimum of the given fields (singletons pass through)."""
-    fields = list(fields)
-    if not fields:
-        raise EmptyCollection("min_combine requires a non-empty field list")
-    if len(fields) == 1:
-        return fields[0]
-    return MinField(tuple(fields))
+    fields = tuple(fields)
+    return fields[0] if len(fields) == 1 else MinField(fields)
 
 
 def base_field_from_config(cfg: dict) -> ScalarField:

@@ -206,16 +206,6 @@ def check_exponent(p: float) -> None:
         raise DomainError(f"exponent p={p} must be finite and at least 1")
 
 
-def p_moment(m: DiscreteMeasure, p: float, x0) -> float:
-    """sum_i w_i |x_i - x0|^p; finite for every discrete measure."""
-    check_exponent(p)
-    ref = np.asarray(x0, dtype=float).reshape(-1)
-    if ref.shape[0] != m.dim:
-        raise DimensionError(f"reference point dim {ref.shape[0]} vs measure dim {m.dim}")
-    dists = np.linalg.norm(m.support - ref, axis=1)
-    return float(np.dot(m.weights, dists**p))
-
-
 def random_measure(rng: np.random.Generator, max_atoms: int, dim: int,
                    box: float = 10.0, min_atoms: int = 1) -> DiscreteMeasure:
     """Seeded test-instance generator: uniform atoms in a box, random weights."""

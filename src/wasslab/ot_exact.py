@@ -120,7 +120,7 @@ class Coupling:
         out[self.rows, self.cols] = self.masses
         return out
 
-    def validate(self, tol: float = MARGINAL_TOL) -> None:
+    def validate(self) -> None:
         # one pass over the plan's cells in Python: a plan has only n+m-1 of them
         a, b = self.source.weights.tolist(), self.target.weights.tolist()
         row, col = [0.0] * len(a), [0.0] * len(b)
@@ -128,8 +128,8 @@ class Coupling:
             row[i] += w
             col[j] += w
         gap = max(map(abs, map(operator.sub, row + col, a + b)))
-        if gap > tol:
-            raise NumericalInconsistency(f"coupling marginals off by {gap:.3e} (> {tol})")
+        if gap > MARGINAL_TOL:
+            raise NumericalInconsistency(f"coupling marginals off by {gap:.3e} (> {MARGINAL_TOL})")
 
     def plan_list(self) -> list[list]:
         return [[int(i), int(j), float(m)]

@@ -25,6 +25,7 @@ from .base_space import ScalarField, base_field_from_config
 from .discrete_measure import DiscreteMeasure
 from .errors import (
     DescentStalled,
+    DimensionError,
     DomainError,
     EmptyCollection,
     InvalidRay,
@@ -48,6 +49,7 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 _DEGENERATE_PAIR = 1e-10  # pairs closer than this carry no slope information
+REFUTE_TOL = 1e-9         # relative excess of a drop over its distance that refutes 1-Lipschitz
 CALIBRATION_EPS = 1e-3    # default sphere-test calibration slack
 WITNESS_EPS = 1e-6        # default analytic-witness slack
 PROBE_TS = (0.0, 1.0, 10.0)  # spans on which representation_check probes each ray
@@ -86,7 +88,12 @@ class LiftedField(MeasureField):
     p: float = 2.0
 
     def evaluate(self, omega: DiscreteMeasure) -> float:
+        self._check_dim(omega)
         return float(np.dot(omega.weights, self.base.evaluate_many(omega.support)))
+
+    def _check_dim(self, omega: DiscreteMeasure) -> None:
+        if self.base.dim != omega.dim:
+            raise DimensionError(f"field dim {self.base.dim} vs measure dim {omega.dim}")
 
     def descent_candidate(self, omega, t):
         if not self.base.has_analytic_rays:
@@ -143,6 +150,15 @@ class InfField(MeasureField):
 
     members: tuple[MeasureField, ...]
 
+    def __post_init__(self):
+        members = tuple(self.members)
+        if not members:
+            raise EmptyCollection("InfField needs at least one member field")
+        exponents = {m.p for m in members}
+        if len(exponents) != 1:
+            raise DomainError(f"member fields disagree on the exponent: {sorted(exponents)}")
+        object.__setattr__(self, "members", members)
+
     @property
     def p(self) -> float:
         return self.members[0].p
@@ -183,22 +199,16 @@ def lift(u: ScalarField, p: float = 2.0) -> LiftedField:
 
 def inf_of_fields(fields: Sequence[MeasureField]) -> MeasureField:
     """Pointwise minimum; singletons pass through unchanged."""
-    fields = list(fields)
-    if not fields:
-        raise EmptyCollection("inf_of_fields requires a non-empty list")
-    exponents = {f.p for f in fields}
-    if len(exponents) != 1:
-        raise DomainError(f"member fields disagree on the exponent: {sorted(exponents)}")
-    if len(fields) == 1:
-        return fields[0]
-    return InfField(tuple(fields))
+    fields = tuple(fields)
+    return fields[0] if len(fields) == 1 else InfField(fields)
 
 
 def lifted_ray(U: MeasureField, omega: DiscreteMeasure) -> WassersteinRay:
     """Per-atom descent ray of a lifted field; exact unit-rate value drop."""
     if not isinstance(U, LiftedField):
         raise UnsupportedField(f"{type(U).__name__} has no lifted descent ray")
-    return WassersteinRay.from_base_field(U.base, omega, U.p)
+    U._check_dim(omega)
+    return WassersteinRay(omega, *U.base.descent_rays(omega.support), U.p)
 
 
 def lipschitz_probe(U: MeasureField, pairs) -> float:
@@ -315,23 +325,33 @@ def global_slope_estimate(U: MeasureField, omega: DiscreteMeasure,
     return SlopeEstimate(best[0], best[1], ())
 
 
+def _refutes(drop: float, cert: float) -> bool:
+    """Whether a value drop exceeds its certified distance, so U is not 1-Lipschitz."""
+    return drop - cert > REFUTE_TOL * max(1.0, cert)
+
+
+def _drop_json(found: tuple[DiscreteMeasure, float, float] | None) -> dict | None:
+    if found is None:
+        return None
+    x, cert, drop = found
+    return {"measure": x.to_json_dict(), "distance": cert, "drop": drop}
+
+
 @dataclass(frozen=True)
 class RadiusProbe:
     radius: float
     witness: tuple[DiscreteMeasure, float, float] | None  # (measure, dist, drop)
     best_gap: float
     n_candidates: int
+    refuter: tuple[DiscreteMeasure, float, float] | None = None  # (measure, dist, drop)
 
     def to_json_dict(self) -> dict:
-        w = None
-        if self.witness is not None:
-            x, cert, drop = self.witness
-            w = {"measure": x.to_json_dict(), "distance": cert, "drop": drop}
         return {
             "radius": self.radius,
-            "witness": w,
+            "witness": _drop_json(self.witness),
             "best_gap": self.best_gap,
             "n_candidates": self.n_candidates,
+            "refuter": _drop_json(self.refuter),
         }
 
 
@@ -357,12 +377,15 @@ def viscosity_sphere_test(U: MeasureField, omega: DiscreteMeasure,
     """Sphere-calibration test for unit slope.
 
     At each radius r the test looks for a candidate x at certified distance
-    d with drop U(omega) - U(x) >= d (1 - eps); the reverse inequality is
-    automatic for a 1-Lipschitz field, so near-calibration is all that needs
-    searching. PASS requires a witness at every radius. With no witness the
-    verdict is FAIL for analytically complete variants and INCONCLUSIVE
-    otherwise, and a radius with no candidates at all is inconclusive.
-    Radii must be positive and decreasing, and 0 < eps < 1.
+    d with drop U(omega) - U(x) >= d (1 - eps). The reverse inequality, a
+    drop of at most d, holds for a 1-Lipschitz field, and every candidate
+    read is checked against it: the first whose drop exceeds d by more than
+    REFUTE_TOL * max(1, d) is the radius's `refuter`. PASS requires a
+    witness and no refuter at every radius. A refuter makes the verdict FAIL
+    for analytically complete variants and INCONCLUSIVE otherwise, and so
+    does a radius without a witness, except that a radius with no candidates
+    at all is inconclusive. Radii must be positive and decreasing, and
+    0 < eps < 1.
     """
     radii = _check_radii(radii)
     if not 0.0 < eps < 1.0:
@@ -370,28 +393,28 @@ def viscosity_sphere_test(U: MeasureField, omega: DiscreteMeasure,
     rng = ensure_rng(rng)
     base_value = U.evaluate(omega)
     probes: list[RadiusProbe] = []
-    any_empty = False
-    all_witnessed = True
     for r in radii:
         scan = _Scan(U, omega, r, budget, rng)
-        witness = None
+        witness = refuter = None
         best_gap = np.inf
         for x, cert, value in scan:
             drop = base_value - value
             best_gap = min(best_gap, cert - drop)
             if witness is None and drop >= cert * (1.0 - eps):
                 witness = (x, cert, drop)
-        if not scan.n_candidates:
-            any_empty = True
-        if witness is None:
-            all_witnessed = False
-        probes.append(RadiusProbe(float(r), witness, float(best_gap), scan.n_candidates))
-    if all_witnessed and not any_empty:
+            if refuter is None and _refutes(drop, cert):
+                refuter = (x, cert, drop)
+        probes.append(RadiusProbe(float(r), witness, float(best_gap), scan.n_candidates,
+                                  refuter))
+    # a witness is a candidate, so a radius with one is never empty
+    if any(rp.refuter is not None for rp in probes):
+        verdict = FAIL if U.exhaustive else INCONCLUSIVE
+    elif all(rp.witness is not None for rp in probes):
         verdict = PASS
-    elif any_empty or not U.exhaustive:
-        verdict = INCONCLUSIVE
-    else:
+    elif U.exhaustive and all(rp.n_candidates for rp in probes):
         verdict = FAIL
+    else:
+        verdict = INCONCLUSIVE
     params = {"radii": list(radii), "eps": eps, "budget": budget, "p": U.p}
     return SphereTestResult(verdict, tuple(probes), params)
 
@@ -401,12 +424,14 @@ class LevelProbe:
     level: float
     verdict: str
     witness: tuple[DiscreteMeasure, float] | None  # (measure, certified distance)
+    refuter: tuple[DiscreteMeasure, float, float] | None = None  # (measure, dist, drop)
 
     def to_json_dict(self) -> dict:
         w = None
         if self.witness is not None:
             w = {"measure": self.witness[0].to_json_dict(), "distance": self.witness[1]}
-        return {"level": self.level, "verdict": self.verdict, "witness": w}
+        return {"level": self.level, "verdict": self.verdict, "witness": w,
+                "refuter": _drop_json(self.refuter)}
 
 
 @dataclass(frozen=True)
@@ -428,17 +453,21 @@ def dlg_test(U: MeasureField, omega: DiscreteMeasure, levels: Sequence[float],
              budget: int = 8, eps: float = WITNESS_EPS, rng=None) -> DlgResult:
     """Sublevel-reachability test: value = level + distance to the sublevel set.
 
-    The lower bound U(omega) >= c + d(omega, sublevel) is automatic for a
+    The lower bound U(omega) >= c + d(omega, sublevel) holds for a
     1-Lipschitz field, so per level c the test searches for a witness x with
     U(x) <= c + 1e-9 at certified distance <= U(omega) - c + eps. Analytic
-    variants supply the exact witness at arc length U(omega) - c. The scan
-    stops at the first witness, so a level that the analytic candidate
-    witnesses draws nothing from rng, and one witnessed by a sphere sample
-    leaves rng where that sample left it. At least one level is required,
-    and each must lie more than 1e-10 below U(omega), so that the analytic
-    and translate candidates, both at certified distance about
-    U(omega) - c, are never dropped as degenerate; budget >= 1 is checked
-    before any candidate is solved.
+    variants supply the exact witness at arc length U(omega) - c. Every
+    candidate read is checked against the 1-Lipschitz premise as in
+    `viscosity_sphere_test`: a refuter rules out PASS at its level, which is
+    then FAIL for analytically complete variants and INCONCLUSIVE otherwise,
+    like a level without a witness. The scan stops at the first witness or
+    refuter, so a level that the analytic candidate settles draws nothing
+    from rng, and one settled by a sphere sample leaves rng where that
+    sample left it. At least one level is required, and each must lie more
+    than 1e-10 below U(omega), so that the analytic and translate
+    candidates, both at certified distance about U(omega) - c, are never
+    dropped as degenerate; budget >= 1 is checked before any candidate is
+    solved.
     """
     base_value = U.evaluate(omega)
     if not levels or not all(c < base_value - _DEGENERATE_PAIR for c in levels):
@@ -448,13 +477,19 @@ def dlg_test(U: MeasureField, omega: DiscreteMeasure, levels: Sequence[float],
     probes: list[LevelProbe] = []
     for c in levels:
         delta = base_value - c
-        witness = next(((x, cert) for x, cert, value in _Scan(U, omega, delta, budget, rng)
-                        if value <= c + 1e-9 and cert <= delta + eps), None)
-        if witness is not None:
+        witness = refuter = None
+        for x, cert, value in _Scan(U, omega, delta, budget, rng):
+            if _refutes(base_value - value, cert):
+                refuter = (x, cert, base_value - value)
+            if value <= c + 1e-9 and cert <= delta + eps:
+                witness = (x, cert)
+            if witness is not None or refuter is not None:
+                break
+        if witness is not None and refuter is None:
             verdict = PASS
         else:
             verdict = FAIL if U.exhaustive else INCONCLUSIVE
-        probes.append(LevelProbe(float(c), verdict, witness))
+        probes.append(LevelProbe(float(c), verdict, witness, refuter))
     if all(lp.verdict == PASS for lp in probes):
         overall = PASS
     elif any(lp.verdict == FAIL for lp in probes):

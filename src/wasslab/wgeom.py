@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_space import UNIT_TOL, BaseRay, ScalarField, check_ray_time
+from .base_space import UNIT_TOL, BaseRay, check_ray_time
 from .discrete_measure import DiscreteMeasure, MeasureSetSequence, check_exponent, validate_measure
 from .errors import (
     DimensionError,
@@ -113,8 +113,8 @@ class WassersteinRay:
     `origins` and `directions` are (n, d) arrays with one row per atom of
     `base` (whose weights the ray carries) and unit direction rows. Valid
     when the rows are descent rays of one shared 1-Lipschitz base field;
-    `from_base_field` constructs exactly that. Rays assembled by hand should
-    go through `wasserstein_ray`, which certifies unit speed with the
+    `viscosity.lifted_ray` constructs exactly that. Rays assembled by hand
+    should go through `wasserstein_ray`, which certifies unit speed with the
     transport solver.
     """
 
@@ -140,13 +140,6 @@ class WassersteinRay:
     def eval(self, t: float) -> DiscreteMeasure:
         check_ray_time(t)
         return validate_measure(self.origins + t * self.directions, self.base.weights)
-
-    @classmethod
-    def from_base_field(cls, field: ScalarField, omega: DiscreteMeasure,
-                        p: float = 2.0) -> "WassersteinRay":
-        if field.dim != omega.dim:
-            raise DimensionError(f"field dim {field.dim} vs measure dim {omega.dim}")
-        return cls(omega, *field.descent_rays(omega.support), p)
 
 
 def _ray_rows(rays) -> tuple[np.ndarray, np.ndarray]:

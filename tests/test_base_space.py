@@ -10,40 +10,9 @@ from wasslab.base_space import (
     DistanceField,
     MinField,
     base_field_from_config,
-    base_geodesic_eval,
     min_combine,
 )
-from wasslab.errors import DimensionError, DomainError, EmptyCollection, UnsupportedField
-
-
-def test_geodesic_midpoint():
-    assert np.allclose(base_geodesic_eval([0.0, 0.0], [2.0, 0.0], 0.5), [1.0, 0.0])
-
-
-def test_geodesic_degenerate():
-    for t in (0.0, 0.3, 1.0):
-        assert np.allclose(base_geodesic_eval([3.0], [3.0], t), [3.0])
-
-
-def test_geodesic_affine():
-    assert np.allclose(base_geodesic_eval([0.0], [4.0], 0.25), [1.0])
-
-
-def test_geodesic_distance_proportionality():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.uniform(-5, 5, 3)
-        b = rng.uniform(-5, 5, 3)
-        t = rng.uniform(0, 1)
-        x = base_geodesic_eval(a, b, t)
-        assert abs(np.linalg.norm(x - a) - t * np.linalg.norm(b - a)) <= 1e-12
-
-
-def test_geodesic_errors():
-    with pytest.raises(DimensionError):
-        base_geodesic_eval([0.0], [0.0, 1.0], 0.5)
-    with pytest.raises(DomainError):
-        base_geodesic_eval([0.0], [1.0], 1.5)
+from wasslab.errors import DomainError, EmptyCollection, UnsupportedField
 
 
 def test_ray_eval_examples():

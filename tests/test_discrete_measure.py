@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -11,12 +10,10 @@ from wasslab.discrete_measure import (
     DiscreteMeasure,
     MeasureSetSequence,
     dirac,
-    p_moment,
     random_measure,
     validate_measure,
 )
 from wasslab.errors import (
-    DomainError,
     EmptyMeasure,
     InvalidWeight,
     NotNormalized,
@@ -148,39 +145,6 @@ def test_validate_idempotent():
         m2 = validate_measure(m1.support, m1.weights)
         assert np.array_equal(m1.support, m2.support)
         assert np.array_equal(m1.weights, m2.weights)
-
-
-def test_p_moment_examples():
-    assert p_moment(dirac([3.0]), 2.0, [0.0]) == 9.0
-    m = validate_measure([[0.0], [4.0]], [0.75, 0.25])  # escaping family at n=2, p=2
-    assert abs(p_moment(m, 2.0, [0.0]) - 4.0) <= 1e-12
-    assert p_moment(dirac([5.0, 1.0]), 3.0, [5.0, 1.0]) == 0.0
-    # an exponent that is not a finite number >= 1 is refused, as by every W_p route
-    half = validate_measure([[0.0], [1.0]], [0.5, 0.5])
-    for p in (math.nan, math.inf, 0.5):
-        with pytest.raises(DomainError):
-            p_moment(half, p, [0.0])
-
-
-def test_p_moment_diameter_bound():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        m = random_measure(rng, 8, 2)
-        x0 = rng.uniform(-10, 10, 2)
-        cloud = np.vstack([m.support, x0])
-        diam = max(np.linalg.norm(a - b) for a in cloud for b in cloud)
-        p = float(rng.uniform(1, 3))
-        assert p_moment(m, p, x0) <= diam**p + 1e-9
-
-
-def test_p_moment_translation_covariance():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        m = random_measure(rng, 6, 3)
-        v = rng.uniform(-4, 4, 3)
-        x0 = rng.uniform(-4, 4, 3)
-        p = float(rng.uniform(1, 3))
-        assert abs(p_moment(m.translate(v), p, x0 + v) - p_moment(m, p, x0)) <= 1e-10
 
 
 def test_json_round_trip_bit_exact():

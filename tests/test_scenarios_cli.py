@@ -150,6 +150,7 @@ def test_cli_check_viscosity_and_descend(tmp_path, capsys):
     assert main(["check-viscosity", str(cfg_path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "PASS"
+    assert all(probe["refuter"] is None for probe in out["witness"])
 
     assert main(["descend", str(cfg_path)]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -282,6 +283,9 @@ def _malformed_inputs(tmp_path):
     }
     for name, (_, cfg) in nan_entries.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    # a 2-d base field against a 1-d omega
+    dim_mismatch = tmp_path / "dim_mismatch.json"
+    dim_mismatch.write_text(json.dumps(dict(unit_slope, field=busemann["field"])))
     return {
         **{f"check-viscosity-{name}": ["check-viscosity", str(tmp_path / f"{name}.json")]
            for name in configs},
@@ -299,6 +303,8 @@ def _malformed_inputs(tmp_path):
         "wp-p-nan": ["wp", str(measures), "--p", "nan"],
         "wp-p-inf": ["wp", str(measures), "--p", "inf"],
         "descend-steps-fractional": ["descend", str(fractional_steps)],
+        "check-viscosity-dim-mismatch": ["check-viscosity", str(dim_mismatch)],
+        "descend-dim-mismatch": ["descend", str(dim_mismatch)],
         "geodesic-i-too-large": ["geodesic", str(measures), "--i", "9"],
         "geodesic-t-nan": ["geodesic", str(measures), "--t", "nan"],
         "geodesic-frac-nan": ["geodesic", str(measures), "--frac", "nan"],
@@ -326,6 +332,7 @@ def _malformed_inputs(tmp_path):
     "geodesic-frac-nan", "geodesic-t-nan-degenerate", "reproduce-ex3-p3",
     "acceptance-no-match", "busemann-t_max-nan", "busemann-tol-nan",
     "descend-epsilon-nan", "descend-step_length-nan", "check-viscosity-radii-nan",
+    "check-viscosity-dim-mismatch", "descend-dim-mismatch",
 ])
 def test_cli_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert main(_malformed_inputs(tmp_path)[case]) == 2

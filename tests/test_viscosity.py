@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wasslab.base_space import BusemannField, CustomField, MinField
+from wasslab.base_space import (
+    BaseRay,
+    BusemannField,
+    CustomField,
+    DistanceField,
+    MinField,
+    min_combine,
+)
 from wasslab.discrete_measure import (
     MeasureSetSequence,
     dirac,
@@ -12,6 +21,7 @@ from wasslab.discrete_measure import (
 )
 from wasslab.errors import (
     DescentStalled,
+    DimensionError,
     DomainError,
     EmptyCollection,
     InvalidRay,
@@ -22,6 +32,7 @@ from wasslab.ot_exact import wasserstein_exact
 from wasslab.viscosity import (
     ConstantField,
     DistanceToField,
+    InfField,
     RayBusemannField,
     dlg_test,
     global_slope_estimate,
@@ -35,7 +46,7 @@ from wasslab.viscosity import (
     representation_check,
     viscosity_sphere_test,
 )
-from wasslab.wgeom import WassersteinRay, dirac_ray, dlc_limit, sphere_sample
+from wasslab.wgeom import dirac_ray, dlc_limit, sphere_sample
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -345,7 +356,7 @@ def test_representation_check_pass_and_invalid_ray():
     for entry in rep["rays"]:
         assert entry["slack"] >= -1e-6
 
-    wrong = WassersteinRay.from_base_field(BusemannField(E2), omega, 2.0)
+    wrong = lifted_ray(lift(BusemannField(E2), 2.0), omega)
     with pytest.raises(InvalidRay):
         representation_check(U, omega, [wrong])
 
@@ -371,6 +382,108 @@ def test_inf_of_fields_contracts():
         inf_of_fields([])
     with pytest.raises(DomainError):
         inf_of_fields([U, ConstantField(0.0, 3.0)])
+    # the type owns both checks, so a direct construction makes them too
+    with pytest.raises(EmptyCollection):
+        InfField(())
+    with pytest.raises(DomainError, match="exponent"):
+        InfField((U, ConstantField(0.0, 3.0)))
+    assert InfField([U]).members == (U,)
+
+
+def test_lifted_field_refuses_a_measure_of_another_dimension():
+    omega = _mix((0.0, 0.5), (1.0, 0.5))
+    # a distance base once broadcast a 1-d omega against its 2-d anchor
+    for base in (BusemannField(E1), DistanceField([[0.0, 0.0]])):
+        with pytest.raises(DimensionError):
+            lift(base, 2.0).evaluate(omega)
+        with pytest.raises(DimensionError):
+            viscosity_sphere_test(lift(base, 2.0), omega, rng=0)
+
+
+def _steep(slope, direction=(1.0,), shift=None):
+    """A lifted field of slope `slope` along `direction` that declares Lipschitz bound 1."""
+    u = np.asarray(direction, dtype=float)
+    at = np.zeros_like(u) if shift is None else np.asarray(shift, dtype=float)
+    return lift(CustomField(lambda x: -slope * float(np.dot(x - at, u)), dim=u.shape[0],
+                            ray_fn=lambda x: BaseRay(x, u)), 2.0)
+
+
+def test_a_drop_beyond_its_distance_rules_out_pass():
+    steep = _steep(2.0)
+    omega = _mix((0.0, 0.5), (1.0, 0.5))
+    assert local_slope_estimate(steep, omega, rng=0).value == pytest.approx(2.0)
+    res = viscosity_sphere_test(steep, omega, rng=0)
+    assert res.verdict == "FAIL"
+    for rp in res.radii:
+        x, cert, drop = rp.refuter
+        assert drop == pytest.approx(2.0 * cert) and cert == pytest.approx(rp.radius)
+        assert rp.to_json_dict()["refuter"]["drop"] == drop
+    value = steep.evaluate(omega)
+    dlg = dlg_test(steep, omega, levels=(value - 1.0, value - 10.0), rng=0)
+    assert dlg.verdict == "FAIL"
+    assert all(lp.refuter is not None for lp in dlg.levels)
+    assert dlg.levels[0].to_json_dict()["refuter"]["distance"] == pytest.approx(1.0)
+    # without rays the search is not exhaustive, so a refuter gives INCONCLUSIVE
+    rayless = lift(CustomField(lambda x: -2.0 * x[0], dim=1), 2.0)
+    assert viscosity_sphere_test(rayless, omega, rng=0).verdict == "INCONCLUSIVE"
+    assert dlg_test(rayless, omega, levels=(value - 1.0,), rng=0).verdict == "INCONCLUSIVE"
+
+
+_VERDICTS = settings(max_examples=50, deadline=None, derandomize=True)
+_UNIT = st.floats(0.0, 2.0 * math.pi).map(lambda a: np.array([math.cos(a), math.sin(a)]))
+
+
+@st.composite
+def _omega(draw):
+    """A 1-4 atom measure in the plane, drawn from a hypothesis-chosen seed."""
+    return random_measure(np.random.default_rng(draw(st.integers(0, 2**16))), 4, 2, box=2.0)
+
+
+@st.composite
+def _busemann_min(draw):
+    """The lift of a minimum of 1-3 Busemann fields in the plane: a true unit-slope field."""
+    members = [BusemannField(draw(_UNIT), draw(st.floats(-1.0, 1.0)))
+               for _ in range(draw(st.integers(1, 3)))]
+    return lift(min_combine(members), 2.0)
+
+
+def _verdicts(U, omega, seed):
+    value = U.evaluate(omega)
+    return (viscosity_sphere_test(U, omega, budget=3, rng=seed).verdict,
+            dlg_test(U, omega, levels=(value - 0.5, value - 3.0), budget=3, rng=seed).verdict)
+
+
+@_VERDICTS
+@given(_busemann_min(), _omega(), st.integers(0, 99))
+def test_unit_slope_minima_never_fail(U, omega, seed):
+    assert "FAIL" not in _verdicts(U, omega, seed)
+
+
+@_VERDICTS
+@given(st.floats(-5.0, 5.0), st.sampled_from([1.0, 2.0, 3.0]), _omega(), st.integers(0, 99))
+def test_constants_never_pass(value, p, omega, seed):
+    assert "PASS" not in _verdicts(ConstantField(value, p), omega, seed)
+
+
+@_VERDICTS
+@given(st.floats(1.1, 3.0), _UNIT, _omega(), st.integers(0, 99))
+def test_an_understated_lipschitz_bound_never_passes(slope, direction, omega, seed):
+    assert "PASS" not in _verdicts(_steep(slope, direction), omega, seed)
+
+
+@_VERDICTS
+@given(st.sampled_from(["busemann", "constant", "steep"]), _busemann_min(), _omega(),
+       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2), st.integers(0, 99))
+def test_translating_omega_and_field_keeps_the_verdicts(kind, U, omega, v, seed):
+    v = np.array(v)
+    if kind == "busemann":
+        moved = lift(min_combine([BusemannField(f.direction, f.offset + float(v @ f.direction))
+                                  for f in getattr(U.base, "fields", (U.base,))]), 2.0)
+    elif kind == "constant":
+        U = moved = ConstantField(1.0, 2.0)
+    else:
+        U, moved = _steep(2.0, E1), _steep(2.0, E1, shift=v)
+    assert _verdicts(moved, omega.translate(v), seed) == _verdicts(U, omega, seed)
 
 
 def test_inf_of_lifted_passes_sphere_at_many_points():

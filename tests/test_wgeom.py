@@ -403,17 +403,17 @@ def test_every_ray_construction_refuses_count_dimension_and_speed():
     with pytest.raises(DomainError):
         dirac_ray([0.0], [1.1], 2.0)
     with pytest.raises(DimensionError):
-        WassersteinRay.from_base_field(BusemannField(np.array([1.0, 0.0])), base, 2.0)
+        lifted_ray(lift(BusemannField(np.array([1.0, 0.0])), 2.0), base)
     fast = CustomField(lambda x: -2.0 * x[0], dim=1,
                        ray_fn=lambda x: BaseRay(x, e1, speed=2.0))
     with pytest.raises(InvalidRay):
-        WassersteinRay.from_base_field(fast, base, 2.0)
+        lifted_ray(lift(fast, 2.0), base)
 
 
 def test_custom_field_rays_keep_the_origins_ray_fn_returns():
     base = validate_measure([[0.0], [1.0]], [0.5, 0.5])
     u = CustomField(lambda x: -x[0], dim=1, ray_fn=lambda x: BaseRay(x + 1.0, [1.0]))
-    ray = WassersteinRay.from_base_field(u, base, 2.0)
+    ray = lifted_ray(lift(u, 2.0), base)
     assert np.array_equal(ray.origins, [[1.0], [2.0]])
     assert np.array_equal(ray.directions, [[1.0], [1.0]])
     assert np.array_equal(ray.eval(0.5).support, [[1.5], [2.5]])
