@@ -36,7 +36,10 @@ reverse of the order in which they joined settles children first, so it
 needs no sort. The tree's potentials (u, v) must certify the plan:
 u_i + v_j <= C_ij on every cell and a.u + b.v equal to the plan's cost,
 both on the unit-scaled cost matrix. A failed certificate raises
-`NumericalInconsistency`.
+`NumericalInconsistency`. The bound the potentials prove, a.u + b.v plus
+the dual slack where it is negative, is rescaled and returned as the
+result's `cost_lower`; a product plan, the only coupling of a Dirac, is its
+own bound.
 
 Numpy does the work on the whole matrix: the distance and cost matrices
 and their scaling, pricing, and the certificate's dual slack. Work on the
@@ -50,8 +53,8 @@ arrays are built once, at the end; the simplex's sums over plan cells use
 Solves are memoized: a module-level LRU of the last `MEMO_SIZE` distinct
 solves, keyed on the bytes of both measures and on p, serves a repeated
 (mu, nu, p) without solving it again. An entry keeps only the value, the
-cost and the plan arrays, which are made read-only and shared by every
-result built from it; a solve that raises is never stored.
+cost, its lower bound and the plan arrays, which are made read-only and
+shared by every result built from it; a solve that raises is never stored.
 
 Two independent routes check the simplex: `wasserstein_1d_oracle` builds
 the monotone quantile coupling on the line, which is optimal for every
@@ -95,7 +98,11 @@ _CERT_TOL = 1e-9         # dual slack and duality gap allowed on the unit-scaled
 MEMO_SIZE = 2048
 
 
-@dataclass(frozen=True, eq=False)
+# Every solve and every memo hit builds a Coupling and a TransportResult, so
+# both set their fields by direct stores into the instance dict: a frozen
+# dataclass's own __init__ makes one object.__setattr__ call per field, which
+# took twice as long.
+@dataclass(frozen=True, eq=False, init=False)
 class Coupling:
     """Sparse transport plan between two discrete measures."""
 
@@ -104,6 +111,11 @@ class Coupling:
     rows: np.ndarray    # (k,) int atom indices into source
     cols: np.ndarray    # (k,) int atom indices into target
     masses: np.ndarray  # (k,) positive masses
+
+    def __init__(self, source, target, rows, cols, masses):
+        d = self.__dict__
+        d["source"], d["target"], d["rows"], d["cols"], d["masses"] = (
+            source, target, rows, cols, masses)
 
     @property
     def n_entries(self) -> int:
@@ -136,7 +148,7 @@ class Coupling:
                 for i, j, m in zip(self.rows, self.cols, self.masses)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TransportResult:
     """Optimal transport value with its certifying plan."""
 
@@ -145,6 +157,18 @@ class TransportResult:
     plan: Coupling
     solver: str    # "simplex" | "quantile1d" | "bruteforce"
     p: float
+    cost_lower: float = 0.0  # certified lower bound on the optimal cost, at most `cost`
+
+    def __init__(self, value, cost, plan, solver, p, cost_lower=0.0):
+        d = self.__dict__
+        d["value"], d["cost"], d["plan"], d["solver"], d["p"], d["cost_lower"] = (
+            value, cost, plan, solver, p, cost_lower)
+
+    @property
+    def lower(self) -> float:
+        """Certified lower bound on W_p, at most `value`: the p-th root of `cost_lower`."""
+        lo = max(self.cost_lower, 0.0)
+        return min(lo if self.p == 1.0 else lo ** (1.0 / self.p), self.value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,8 +199,12 @@ def _cost_matrix(D: np.ndarray, p: float) -> np.ndarray:
     return D if p == 1.0 else D**p
 
 
-def _finish(mu, nu, p, rows, cols, masses, cost, solver) -> TransportResult:
-    """The result on the plan's cells with positive mass; rows, cols, masses are lists."""
+def _finish(mu, nu, p, rows, cols, masses, cost, solver, lower=None) -> TransportResult:
+    """The result on the plan's cells with positive mass; rows, cols, masses are lists.
+
+    `lower` bounds the optimal cost from below; None means the plan is
+    optimal by construction, so its cost is the bound.
+    """
     if min(masses) <= 0.0:
         rows, cols, masses = zip(*[c for c in zip(rows, cols, masses) if c[2] > 0.0])
     plan = Coupling(mu, nu, np.array(rows), np.array(cols), np.array(masses))
@@ -185,7 +213,8 @@ def _finish(mu, nu, p, rows, cols, masses, cost, solver) -> TransportResult:
     value = cost if p == 1.0 else cost ** (1.0 / p)
     if value < VALUE_CLAMP:
         value = 0.0
-    return TransportResult(value, cost, plan, solver, p)
+    lower = cost if lower is None or lower > cost else lower
+    return TransportResult(value, cost, plan, solver, p, lower)
 
 
 def _product_plan(mu, nu, p, C, solver) -> TransportResult:
@@ -362,12 +391,14 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
     raise SolverStalled(f"simplex exceeded {cap} pivots on a {n}x{m} instance")
 
 
-def _certify(Cs, a, b, u, v, rows, cols, flow) -> None:
+def _certify(Cs, a, b, u, v, rows, cols, flow) -> float:
     """Raise unless (u, v) prove the plan optimal for the unit-scaled cost Cs.
 
     Dual feasibility (u_i + v_j <= Cs_ij on every cell) bounds every plan's
     cost from below by a.u + b.v; a zero gap to the plan's cost closes it.
     The slack is checked on the whole matrix, the gap on the plan's cells.
+    Returns the lower bound on the optimal cost of Cs that the potentials
+    prove: u shifted by min(slack, 0) is feasible, and a sums to 1.
     """
     slack = float((Cs - u[:, None] - v[None, :]).min())
     dual = _dot(a.tolist(), u.tolist()) + _dot(b.tolist(), v.tolist())
@@ -376,9 +407,11 @@ def _certify(Cs, a, b, u, v, rows, cols, flow) -> None:
         raise NumericalInconsistency(
             f"optimality certificate failed: dual slack {slack:.3e}, duality gap {gap:.3e}"
         )
+    return dual + slack if slack < 0.0 else dual
 
 
-_memo: OrderedDict = OrderedDict()  # (mu key, nu key, p) -> (value, cost, rows, cols, masses)
+# (mu key, nu key, p) -> (value, cost, cost_lower, rows, cols, masses)
+_memo: OrderedDict = OrderedDict()
 
 
 def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0) -> TransportResult:
@@ -400,13 +433,14 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0) 
     entry = _memo.pop(key, None)
     if entry is not None:
         _memo[key] = entry
-        value, cost, rows, cols, masses = entry
-        return TransportResult(value, cost, Coupling(mu, nu, rows, cols, masses), "simplex", p)
+        value, cost, lower, rows, cols, masses = entry
+        return TransportResult(value, cost, Coupling(mu, nu, rows, cols, masses), "simplex", p,
+                               lower)
     res = _solve(mu, nu, p)
     plan = res.plan
     for arr in (plan.rows, plan.cols, plan.masses):
         arr.setflags(write=False)
-    _memo[key] = (res.value, res.cost, plan.rows, plan.cols, plan.masses)
+    _memo[key] = (res.value, res.cost, res.cost_lower, plan.rows, plan.cols, plan.masses)
     if len(_memo) > MEMO_SIZE:
         _memo.popitem(last=False)
     return res
@@ -443,10 +477,11 @@ def _certified_plan(mu, nu, p, C, price: bool) -> TransportResult:
     # masses below the weight resolution of a measure are round-off, such as a
     # last-bit mismatch of the two weight totals carried along the tree
     flow = [f if f >= PRUNE_TOL else 0.0 for f in flow]
+    lower = 0.0
     if math.isfinite(scale):  # an overflowed |x-y|^p has no certificate to check
-        _certify(Cs, a, b, u, v, rows, cols, flow)
+        lower = _certify(Cs, a, b, u, v, rows, cols, flow) * scale
     cost = _dot(flow, [C.item(i, j) for i, j in zip(rows, cols)])
-    return _finish(mu, nu, p, rows, cols, flow, cost, "simplex")
+    return _finish(mu, nu, p, rows, cols, flow, cost, "simplex", lower)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,10 @@ from .ot_exact import wasserstein_exact
 from .wgeom import (
     WassersteinRay,
     busemann_estimate,
+    certified_distance,
     displacement_path,
     ensure_rng,
+    shifted_measure,
     sphere_candidates,
 )
 
@@ -67,8 +69,13 @@ class MeasureField:
     def evaluate(self, omega: DiscreteMeasure) -> float:
         raise NotImplementedError
 
-    def descent_candidate(self, omega: DiscreteMeasure, t: float) -> DiscreteMeasure | None:
-        """Analytic point at arc length t with exact value drop t, if known."""
+    def descent_candidate(self, omega: DiscreteMeasure,
+                          t: float) -> tuple[DiscreteMeasure, float, float] | None:
+        """Analytic point x at arc length t with exact value drop t, if known.
+
+        Returns (x, certified W_p(omega, x), U(x)), each taken from x's
+        construction where that pins it down, else solved.
+        """
         return None
 
     @property
@@ -98,7 +105,9 @@ class LiftedField(MeasureField):
     def descent_candidate(self, omega, t):
         if not self.base.has_analytic_rays:
             return None
-        return lifted_ray(self, omega).eval(t)
+        # a shift bracket, tight when every atom moves the same way
+        x, cert = shifted_measure(omega, lifted_ray(self, omega).rows(t), self.p)
+        return x, cert, self.evaluate(x)
 
     @property
     def exhaustive(self) -> bool:
@@ -117,11 +126,14 @@ class DistanceToField(MeasureField):
         return wasserstein_exact(omega, self.target, self.p).value - self.offset
 
     def descent_candidate(self, omega, t):
-        # the geodesic toward the target calibrates exactly, but only up to it
+        # the geodesic toward the target calibrates exactly, but only up to it;
+        # its cut brackets both the distance from omega and the value
         path = displacement_path(omega, self.target, self.p)
         if t >= path.length - 1e-9:
             return None
-        return path.eval(t)
+        x, near, far = path.cut(t)
+        return (x, certified_distance(omega, x, self.p, *near),
+                certified_distance(x, self.target, self.p, *far) - self.offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +180,13 @@ class InfField(MeasureField):
 
     def descent_candidate(self, omega, t):
         values = [m.evaluate(omega) for m in self.members]
-        return self.members[int(np.argmin(values))].descent_candidate(omega, t)
+        k = int(np.argmin(values))
+        found = self.members[k].descent_candidate(omega, t)
+        if found is None:
+            return None
+        x, cert, value = found
+        others = [m.evaluate(x) for j, m in enumerate(self.members) if j != k]
+        return x, cert, min([value] + others)
 
     @property
     def exhaustive(self) -> bool:
@@ -260,17 +278,19 @@ class _Scan:
         self.n_candidates = 0
 
     def __iter__(self):
-        for x, cert in self._raw():
+        for x, cert, value in self._raw():
             self.n_candidates += 1
             if cert > _DEGENERATE_PAIR:
-                yield x, cert, self.U.evaluate(x)
+                yield x, cert, self.U.evaluate(x) if value is None else value
 
     def _raw(self):
+        """(measure, certified distance, value) of each candidate; a sample's value is None."""
         analytic = self.U.descent_candidate(self.omega, self.r)
         if analytic is not None:
-            yield analytic, wasserstein_exact(self.omega, analytic, self.U.p).value
+            yield analytic
         try:
-            yield from self.sampled
+            for x, cert in self.sampled:
+                yield x, cert, None
         except SphereSamplingFailed:
             pass
 
@@ -517,8 +537,13 @@ class DescentPolyline:
     p: float
 
     def check_inequality(self) -> bool:
-        """Both bounds above, each up to 1e-9 of round-off."""
+        """Both bounds above, each up to 1e-9 of round-off, and the 1-Lipschitz
+        bound on every step: no drop exceeds its arc length d by more than
+        REFUTE_TOL * max(1, d)."""
         k = len(self.vertices)
+        if any(_refutes(self.drops[i], self.times[i + 1] - self.times[i])
+               for i in range(k - 1)):
+            return False
         for i in range(k):
             for j in range(i + 1, k):
                 lhs = self.values[i] - self.values[j]
@@ -532,10 +557,15 @@ class DescentPolyline:
         return True
 
     def observed_slack(self) -> float:
-        """Worst shortfall of cumulative drop against cumulative arc length."""
+        """Worst shortfall of cumulative drop against cumulative arc length.
+
+        Taken over the vertices after the start, so a drop beyond its arc
+        length reads negative; a walk of no steps has slack 0.
+        """
         return max(
-            (self.times[k] - (self.values[0] - self.values[k]))
-            for k in range(len(self.vertices))
+            (self.times[k] - (self.values[0] - self.values[k])
+             for k in range(1, len(self.vertices))),
+            default=0.0,
         )
 
 
@@ -545,10 +575,12 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
     """Budgeted steepest descent with geometrically tightening step defects.
 
     Step k accepts a candidate at certified distance d only when the drop is
-    at least d - eps / 2^k; among admissible candidates the best-calibrated
-    one wins (ties to the earliest generated). Raises DescentStalled, with
-    the partial polyline attached, when no candidate is admissible; this is
-    the expected outcome for fields that are not unit-slope.
+    at least d - eps / 2^k and does not refute the 1-Lipschitz premise (a
+    drop beyond d by more than REFUTE_TOL * max(1, d), as in the verdicts);
+    among admissible candidates the best-calibrated one wins (ties to the
+    earliest generated). Raises DescentStalled, with the partial polyline
+    attached, when no candidate is admissible; this is the expected outcome
+    for fields that are not unit-slope.
     """
     if not eps > 0.0:  # nan fails it too
         raise DomainError(f"eps {eps} must be positive")
@@ -569,7 +601,8 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
             drop = values[-1] - value
             margin = drop - cert
             worst_gap = min(worst_gap, cert - drop)
-            if margin >= -defect and (best is None or margin > best[0]):
+            admissible = margin >= -defect and not _refutes(drop, cert)
+            if admissible and (best is None or margin > best[0]):
                 best = (margin, x, cert, drop)
         if best is None:
             raise DescentStalled(

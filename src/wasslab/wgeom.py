@@ -23,10 +23,11 @@ from .errors import (
     SequenceTooClose,
     SphereSamplingFailed,
 )
-from .ot_exact import wasserstein_exact
+from .ot_exact import VALUE_CLAMP, wasserstein_exact
 
 _T_EDGE_TOL = 1e-12
 _MONOTONE_TOL = 1e-9
+BRACKET_TOL = 1e-12  # relative width of a bracket on W_p that stands for the distance
 
 # The doubling schedule certifies only the observed increment; the tail beyond
 # the last sample is monotone but not quantitatively bounded.
@@ -40,14 +41,57 @@ def ensure_rng(rng) -> np.random.Generator:
     return np.random.default_rng(0 if rng is None else rng)
 
 
+def certified_distance(omega: DiscreteMeasure, x: DiscreteMeasure, p: float,
+                       lo: float, hi: float) -> float:
+    """W_p(omega, x), given a bracket lo <= W_p(omega, x) <= hi from how x was built.
+
+    A bracket narrower than BRACKET_TOL * hi gives hi without a solve. A
+    wider one, or an hi that the solver would clamp to zero or that
+    overflowed, is solved exactly.
+    """
+    if hi - lo <= BRACKET_TOL * hi and VALUE_CLAMP <= hi < math.inf:
+        return hi
+    return wasserstein_exact(omega, x, p).value
+
+
+def shift_bracket(omega: DiscreteMeasure, rows: np.ndarray, p: float) -> tuple[float, float]:
+    """[lo, hi] around W_p(omega, sum_i w_i delta_{rows[i]}), omega = sum_i w_i delta_{omega_i}.
+
+    With shifts D_i = rows[i] - omega_i, moving each atom by its shift is a
+    coupling, so W_p <= hi = (sum_i w_i |D_i|^p)^(1/p); and the 1-Lipschitz
+    function <., e>, with e along the mean shift, gains |sum_i w_i D_i|, so
+    W_p >= W_1 >= lo = |sum_i w_i D_i|. `rows` follow omega's atom order.
+    """
+    shift = rows - omega.support
+    lengths = np.sqrt((shift * shift).sum(axis=1))
+    mean = omega.weights @ shift
+    hi = math.fsum(omega.weights * (lengths if p == 1.0 else lengths**p))
+    return math.sqrt(mean.dot(mean)), hi if p == 1.0 else hi ** (1.0 / p)
+
+
+def shifted_measure(omega: DiscreteMeasure, rows: np.ndarray,
+                    p: float) -> tuple[DiscreteMeasure, float]:
+    """sum_i w_i delta_{rows[i]} and its certified distance from omega = sum_i w_i delta_{omega_i}.
+
+    The distance comes from `shift_bracket` on the rows as built, not on the
+    re-sorted support. Atoms that merged have moved off their rows, and then
+    the distance is solved.
+    """
+    x = validate_measure(rows, omega.weights)
+    if x.n_atoms != omega.n_atoms:
+        return x, wasserstein_exact(omega, x, p).value
+    return x, certified_distance(omega, x, p, *shift_bracket(omega, rows, p))
+
+
 @dataclass(frozen=True, eq=False)
 class WassersteinPath:
     """Constant-speed geodesic from an optimal coupling.
 
     Coupled atom pairs move along straight base segments; `eval(t)` returns
-    the interpolated measure at arc length t in [0, length]. A zero-length
-    path is flagged degenerate and stays constant. For p = 1 the plan need
-    not be unique, which `nonunique` records.
+    the interpolated measure at arc length t in [0, length], and `cut(t)`
+    adds brackets on its distances to both ends. A zero-length path is
+    flagged degenerate and stays constant. For p = 1 the plan need not be
+    unique, which `nonunique` records.
     """
 
     source: DiscreteMeasure
@@ -59,19 +103,34 @@ class WassersteinPath:
     length: float
     degenerate: bool
     nonunique: bool
+    length_lower: float       # the solver's certified lower bound on `length`
 
     def eval(self, t: float) -> DiscreteMeasure:
+        return self.cut(t)[0]
+
+    def cut(self, t: float) -> tuple[DiscreteMeasure, tuple[float, float], tuple[float, float]]:
+        """The point x at arc length t, with brackets on W_p(source, x) and W_p(x, target).
+
+        At s = t / length the plan restricted to [0, s] costs s * length and
+        the rest (1 - s) * length, which bound the two distances above; the
+        triangle inequality through x bounds each below by `length_lower`
+        minus the other's upper bound. Atoms that merged have moved off the
+        plan's rows, and then the brackets have no lower end.
+        """
         if not math.isfinite(t):
             raise DomainError(f"time t={t} must be finite")
         if self.degenerate:
             if abs(t) > _T_EDGE_TOL:
                 raise DomainError(f"degenerate path is defined only at t=0, got {t}")
-            return self.source
+            return self.source, (0.0, 0.0), (0.0, 0.0)
         if t < -_T_EDGE_TOL or t > self.length + _T_EDGE_TOL:
             raise DomainError(f"time {t} outside [0, {self.length}]")
         s = min(max(t / self.length, 0.0), 1.0)
         pts = (1.0 - s) * self.pair_sources + s * self.pair_targets
-        return validate_measure(pts, self.masses)
+        x = validate_measure(pts, self.masses)
+        near, far = s * self.length, (1.0 - s) * self.length
+        lower = self.length_lower if x.n_atoms == self.masses.shape[0] else -math.inf
+        return x, (lower - far, near), (lower - near, far)
 
 
 def displacement_path(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0,
@@ -90,6 +149,7 @@ def displacement_path(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0,
         length=res.value,
         degenerate=(res.value == 0.0),
         nonunique=(p == 1.0),
+        length_lower=res.lower,
     )
     if check and not path.degenerate:
         for t, other in ((0.0, mu), (path.length, nu)):
@@ -138,8 +198,12 @@ class WassersteinRay:
             raise InvalidRay(f"per-atom rays must be unit speed, got {speeds.tolist()}")
 
     def eval(self, t: float) -> DiscreteMeasure:
+        return validate_measure(self.rows(t), self.base.weights)
+
+    def rows(self, t: float) -> np.ndarray:
+        """The atoms at time t, one row per atom of `base`, in its order."""
         check_ray_time(t)
-        return validate_measure(self.origins + t * self.directions, self.base.weights)
+        return self.origins + t * self.directions
 
 
 def _ray_rows(rays) -> tuple[np.ndarray, np.ndarray]:
@@ -251,8 +315,7 @@ def _in_band(cert: float, r: float) -> bool:
 
 
 def _translate_candidate(omega, r, p, rng):
-    cand = omega.translate(r * _random_unit(rng, omega.dim))
-    return cand, wasserstein_exact(omega, cand, p).value
+    return shifted_measure(omega, omega.support + r * _random_unit(rng, omega.dim), p)
 
 
 def _atom_shift_candidate(omega, r, p, rng):
@@ -260,7 +323,8 @@ def _atom_shift_candidate(omega, r, p, rng):
 
     The search starts at s = r * w_i^(-1/p), where moving atom i alone costs
     exactly r; a try outside the band (the atom met a neighbour) rescales s
-    by r / cert, clipped to [0.2, 5], for at most 8 tries.
+    by r / cert, clipped to [0.2, 5], for at most 8 tries. Each try is
+    solved: its shift bracket [w_i s, w_i^(1/p) s] is never tight.
     """
     idx = int(rng.integers(omega.n_atoms))
     u = _random_unit(rng, omega.dim)
@@ -285,8 +349,8 @@ def _path_candidate(omega, r, p, rng):
     path = displacement_path(omega, validate_measure(pts, omega.weights), p)
     if path.length <= r:
         return None
-    cand = path.eval(r)
-    return cand, wasserstein_exact(omega, cand, p).value
+    cand, near, _ = path.cut(r)
+    return cand, certified_distance(omega, cand, p, *near)
 
 
 # each proposes one (measure, certified distance), or None; taken in turn

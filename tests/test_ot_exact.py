@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -568,3 +569,31 @@ def test_memo_never_stores_a_raise(monkeypatch):
         with pytest.raises(NumericalInconsistency, match="certificate"):
             wasserstein_exact(mu, nu, 2.0)
     assert not ot_exact._memo
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]), st.floats(-3.0, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_lower_bound_sits_below_the_value_and_a_memo_hit_keeps_it(n, m, dim, p, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    mu = random_measure(rng, n, dim, box=scale, min_atoms=n)
+    nu = random_measure(rng, m, dim, box=scale, min_atoms=m)
+    res = wasserstein_exact(mu, nu, p)
+    assert 0.0 <= res.lower <= res.value and res.cost_lower <= res.cost
+    if n == 1 or m == 1:  # the product plan is the only coupling
+        assert res.cost_lower == res.cost
+    again = wasserstein_exact(mu, nu, p)
+    assert again.plan.masses is res.plan.masses  # served by the memo
+    assert (again.cost_lower, again.lower) == (res.cost_lower, res.lower)
+
+
+def test_results_stay_frozen_dataclasses():
+    res = wasserstein_exact(*TWO_BY_TWO, 2.0)
+    for obj, name in ((res, "value"), (res.plan, "masses")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    assert dataclasses.replace(res, solver="copy").cost_lower == res.cost_lower
+    assert [f.name for f in dataclasses.fields(res)] == [
+        "value", "cost", "plan", "solver", "p", "cost_lower"]

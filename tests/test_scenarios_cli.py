@@ -163,6 +163,23 @@ def test_cli_check_viscosity_and_descend(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_descend_does_not_pass_a_field_steeper_than_its_bound(tmp_path, capsys,
+                                                                  monkeypatch):
+    # slope 2 along +x while declaring Lipschitz bound 1; no JSON config builds it
+    steep = wasslab.lift(wasslab.CustomField(lambda x: -2.0 * x[0], dim=1,
+                                             ray_fn=lambda x: wasslab.BaseRay(x, [1.0])))
+    monkeypatch.setattr("wasslab.cli.measure_field_from_config", lambda cfg, p: steep)
+    cfg = {"field": {"kind": "lifted"},
+           "omega": {"dim": 1, "support": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+           "steps": 5}
+    cfg_path = tmp_path / "steep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["descend", str(cfg_path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert "inequality_ok" not in out
+    assert out["stalled_at_step"] == 1 and out["best_gap"] < 0.0
+
+
 def test_cli_busemann_and_slope(tmp_path, capsys):
     cfg = {
         "field": {"kind": "lifted",

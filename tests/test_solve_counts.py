@@ -1,0 +1,102 @@
+"""Solve counts of fixed cases, one per candidate and verdict kind.
+
+A count is a property of the code, not of the host, so a candidate that
+starts solving again what its construction already certifies fails here,
+not only in a timing. The `solves` fixture counts every `wasserstein_exact`
+call the verdicts and the sphere sampler make, memo hits included.
+"""
+
+import numpy as np
+import pytest
+
+from wasslab import wgeom
+from wasslab.base_space import BusemannField, MinField
+from wasslab.discrete_measure import validate_measure
+from wasslab.viscosity import (
+    ConstantField,
+    DistanceToField,
+    dlg_test,
+    greedy_descent,
+    lift,
+    viscosity_sphere_test,
+)
+
+E1 = np.array([1.0, 0.0])
+E2 = np.array([0.0, 1.0])
+OMEGA = validate_measure([[0.0, 0.0], [1.5, 0.2], [-0.4, 1.1], [0.7, -1.3]],
+                         [0.1, 0.2, 0.3, 0.4])
+TARGET = validate_measure([[6.0, 0.5], [5.2, -1.0], [6.8, 1.4]], [0.5, 0.25, 0.25])
+MIN_FIELD = lift(MinField((BusemannField(E1, 0.3), BusemannField(-E2),
+                           BusemannField(np.array([-0.6, 0.8]), 0.5))), 2.0)
+
+
+def test_a_translation_candidate_solves_nothing(solves):
+    rng = np.random.default_rng(0)
+    for r in (1.0, 0.5, 0.1):
+        _, cert = wgeom._translate_candidate(OMEGA, r, 2.0, rng)
+        assert abs(cert - r) <= 1e-12
+    assert not solves
+
+
+def test_a_path_candidate_solves_only_its_geodesic(solves):
+    _, cert = wgeom._path_candidate(OMEGA, 0.5, 2.0, np.random.default_rng(0))
+    assert abs(cert - 0.5) <= 1e-12
+    assert len(solves) == 1
+
+
+def test_analytic_candidates_solve_only_what_their_construction_leaves_open(solves):
+    # every atom of a lifted Busemann field moves the same way: a tight bracket
+    x, cert, value = lift(BusemannField(E1), 2.0).descent_candidate(OMEGA, 0.5)
+    assert cert == 0.5 and not solves
+    # the minimum sends OMEGA's atoms three ways, so the bracket is wide and solved
+    x, cert, value = MIN_FIELD.descent_candidate(OMEGA, 0.5)
+    assert value == pytest.approx(MIN_FIELD.evaluate(OMEGA) - 0.5, abs=1e-12)
+    assert len(solves) == 1
+    # the distance field's candidate takes distance and value from its geodesic
+    solves.clear()
+    D = DistanceToField(TARGET, 1.0)
+    x, cert, value = D.descent_candidate(OMEGA, 0.5)
+    assert len(solves) == 1
+    assert cert == pytest.approx(0.5, abs=1e-12)
+    assert value == pytest.approx(D.evaluate(x), abs=1e-12)
+
+
+def test_distance_field_dlg_solves_once_per_level(solves):
+    D = DistanceToField(TARGET)
+    value = D.evaluate(OMEGA)
+    levels = (value - 1.0, value - 2.0, value - 3.0)
+    solves.clear()
+    assert dlg_test(D, OMEGA, levels, rng=0).verdict == "PASS"
+    assert len(solves) == 1 + len(levels)  # U(omega), then each level's geodesic
+
+
+def _dlg():
+    value = MIN_FIELD.evaluate(OMEGA)
+    return dlg_test(MIN_FIELD, OMEGA, (value - 0.5, value - 2.0), budget=4, rng=3)
+
+
+# one call of each verdict kind the benchmark's `verdicts` workload makes, budget 4, rng seed 3
+VERDICTS = {
+    "sphere_lifted": lambda: viscosity_sphere_test(MIN_FIELD, OMEGA, budget=4, rng=3),
+    "sphere_constant": lambda: viscosity_sphere_test(ConstantField(0.0), OMEGA, budget=4, rng=3),
+    "sphere_distance": lambda: viscosity_sphere_test(DistanceToField(TARGET), OMEGA, budget=4,
+                                                     rng=3),
+    "dlg": _dlg,
+    "descent": lambda: greedy_descent(MIN_FIELD, OMEGA, eps=1e-2, steps=3, budget=4, rng=3),
+    "busemann": lambda: wgeom.busemann_estimate(wgeom.dirac_ray([0.2, -0.3], E1), OMEGA,
+                                                tol=1e-9, t_max=1e4),
+}
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("sphere_lifted", 9),
+    ("sphere_constant", 6),
+    ("sphere_distance", 22),
+    ("dlg", 2),
+    ("descent", 9),
+    ("busemann", 15),
+])
+def test_verdict_solve_counts(solves, kind, expected):
+    result = VERDICTS[kind]()
+    assert getattr(result, "verdict", "PASS") == ("FAIL" if kind == "sphere_constant" else "PASS")
+    assert len(solves) == expected

@@ -31,6 +31,7 @@ from wasslab.errors import (
 from wasslab.ot_exact import wasserstein_exact
 from wasslab.viscosity import (
     ConstantField,
+    DescentPolyline,
     DistanceToField,
     InfField,
     RayBusemannField,
@@ -260,8 +261,8 @@ def test_dlg_stops_at_the_analytic_witness(solves):
     levels = (value - 1.0, value - 3.0)  # both reached inside the geodesic to the target
     solves.clear()
     assert dlg_test(D, omega, levels, rng=rng).verdict == "PASS"
-    # U(omega), then per level the geodesic, its point's certificate and value
-    assert len(solves) == 1 + 3 * len(levels)
+    # U(omega), then per level the geodesic, whose cut gives the point's distance and value
+    assert len(solves) == 1 + len(levels)
     assert rng.bit_generator.state == state
 
 
@@ -427,6 +428,24 @@ def test_a_drop_beyond_its_distance_rules_out_pass():
     rayless = lift(CustomField(lambda x: -2.0 * x[0], dim=1), 2.0)
     assert viscosity_sphere_test(rayless, omega, rng=0).verdict == "INCONCLUSIVE"
     assert dlg_test(rayless, omega, levels=(value - 1.0,), rng=0).verdict == "INCONCLUSIVE"
+
+
+def test_descent_never_steps_on_a_drop_beyond_its_distance():
+    steep = _steep(2.0)
+    omega = _mix((0.0, 0.5), (1.0, 0.5))
+    with pytest.raises(DescentStalled) as err:
+        greedy_descent(steep, omega, eps=1e-2, steps=5, rng=0)
+    assert err.value.step == 1
+    assert err.value.best_gap == pytest.approx(-1.0)
+    # a walk along the steep field's rays: a drop of 2 per unit of arc length
+    vertices = tuple(omega.translate([float(k)]) for k in range(3))
+    values = tuple(steep.evaluate(v) for v in vertices)
+    poly = DescentPolyline(vertices, (0.0, 1.0, 2.0), (2.0, 2.0), values, 1e-2, 2.0)
+    assert not poly.check_inequality()
+    assert poly.observed_slack() == pytest.approx(-1.0)
+    honest = DescentPolyline(vertices, (0.0, 2.0, 4.0), (2.0, 2.0), values, 1e-2, 2.0)
+    assert honest.observed_slack() == pytest.approx(0.0)
+    assert DescentPolyline(vertices[:1], (0.0,), (), values[:1], 1e-2, 2.0).observed_slack() == 0.0
 
 
 _VERDICTS = settings(max_examples=50, deadline=None, derandomize=True)

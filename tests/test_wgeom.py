@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wasslab import ot_exact, wgeom
@@ -485,3 +485,78 @@ def test_lifted_rays_match_their_definition(case, p):
         moved = ray.eval(t)
         assert abs(U.evaluate(omega) - U.evaluate(moved) - t) <= 1e-9
         assert abs(wasserstein_exact(omega, moved, p).value - t) <= 1e-8
+
+
+_BRACKETS = settings(max_examples=80, deadline=None, derandomize=True)
+_BRACKET_P = st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0])
+
+
+def _inside(lo, w, hi):
+    """lo <= w <= hi up to 1e-12 relative."""
+    return lo <= w * (1.0 + 1e-12) and w <= hi * (1.0 + 1e-12)
+
+
+@_BRACKETS
+@given(st.integers(1, 12), st.integers(1, 3), _BRACKET_P, st.floats(-3.0, 3.0),
+       st.sampled_from([0.0, 1e-3, 1.0]), st.integers(0, 2**32 - 1))
+def test_shift_bracket_holds_the_solved_distance(n, dim, p, log_scale, spread, seed):
+    # a rigid translation (spread 0) and per-atom shifts around one
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    omega = random_measure(rng, n, dim, box=scale, min_atoms=n)
+    u = rng.normal(size=dim)
+    moves = u / np.linalg.norm(u) + spread * rng.normal(size=omega.support.shape)
+    rows = omega.support + scale * rng.uniform(0.01, 1.0) * moves
+    x = validate_measure(rows, omega.weights)
+    assume(x.n_atoms == omega.n_atoms)
+    lo, hi = wgeom.shift_bracket(omega, rows, p)
+    assert _inside(lo, wasserstein_exact(omega, x, p).value, hi)
+    if spread == 0.0:
+        assert hi - lo <= wgeom.BRACKET_TOL * hi
+
+
+@_BRACKETS
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3), _BRACKET_P,
+       st.floats(-3.0, 3.0), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_cut_brackets_hold_both_solved_distances(n, m, dim, p, log_scale, frac, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    omega = random_measure(rng, n, dim, box=scale, min_atoms=n)
+    target = random_measure(rng, m, dim, box=scale, min_atoms=m)
+    path = displacement_path(omega, target, p)
+    x, (lo, hi), (lo_far, hi_far) = path.cut(frac * path.length)
+    assume(x.n_atoms == path.masses.shape[0])
+    assert _inside(lo, wasserstein_exact(omega, x, p).value, hi)
+    assert _inside(lo_far, wasserstein_exact(x, target, p).value, hi_far)
+
+
+def test_a_shift_bracket_is_never_taken_without_its_lower_end(solves):
+    # moving the atom at 0 of 1/2 d0 + 1/2 d1 to 2: the identity pairing costs
+    # sqrt(2), but 0 -> 1, 1 -> 2 costs 1, which only the lower end 1 admits
+    omega = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    rows = np.array([[2.0], [1.0]])
+    assert wgeom.shift_bracket(omega, rows, 2.0) == (1.0, math.sqrt(2.0))
+    x, cert = wgeom.shifted_measure(omega, rows, 2.0)
+    assert cert == brute_force_oracle(omega, x, 2.0).value == 1.0
+    assert len(solves) == 1
+
+
+def test_merged_atoms_leave_a_cut_without_a_lower_end(solves):
+    path = displacement_path(validate_measure([[0.0], [2.0]], [0.5, 0.5]), dirac([1.0]), 2.0)
+    x, near, far = path.cut(path.length)
+    assert x.n_atoms == 1 and near == (-math.inf, 1.0) and far == (-math.inf, 0.0)
+    solves.clear()
+    assert wgeom.certified_distance(path.source, x, 2.0, *near) == 1.0
+    assert len(solves) == 1
+
+
+def test_certified_distance_solves_what_a_bracket_cannot_stand_for(solves):
+    omega = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    x = omega.translate([0.5])
+    assert wgeom.certified_distance(omega, x, 2.0, 0.5, 0.5) == 0.5 and not solves
+    for lo, hi in ((0.4, 0.5), (0.5, math.inf)):  # wide, or overflowed
+        assert wgeom.certified_distance(omega, x, 2.0, lo, hi) == 0.5
+    assert len(solves) == 2
+    # below VALUE_CLAMP the solver reports 0, so no sample lands on a tiny sphere
+    with pytest.raises(SphereSamplingFailed):
+        sphere_sample(omega, 1e-13, 2.0, budget=2, rng=0)
