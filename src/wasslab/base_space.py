@@ -97,12 +97,14 @@ class ScalarField:
     """A real function on R^d with a declared Lipschitz bound.
 
     Subclasses provide `evaluate`; the built-in variants are all exactly
-    1-Lipschitz and, except where noted, give the steepest-descent rays
-    through a batch of points via `descent_rays`.
+    1-Lipschitz, which `lipschitz_proven` says, and, except where noted,
+    give the steepest-descent rays through a batch of points via
+    `descent_rays`. A declared bound is not a proven one: verdicts test it.
     """
 
     dim: int
     lipschitz: float = 1.0
+    lipschitz_proven: bool = False  # the bound holds by construction
 
     def evaluate(self, x) -> float:
         raise NotImplementedError
@@ -143,6 +145,7 @@ class BusemannField(ScalarField):
 
     direction: np.ndarray
     offset: float = 0.0
+    lipschitz_proven = True
 
     def __post_init__(self):
         d = np.array(self.direction, dtype=float)  # a copy, so freezing it spares the caller's
@@ -204,6 +207,10 @@ class MinField(ScalarField):
     def lipschitz(self) -> float:
         return max(f.lipschitz for f in self.fields)
 
+    @property
+    def lipschitz_proven(self) -> bool:
+        return all(f.lipschitz_proven for f in self.fields)
+
     def evaluate(self, x) -> float:
         return min(f.evaluate(x) for f in self.fields)
 
@@ -237,6 +244,7 @@ class DistanceField(ScalarField):
 
     points: np.ndarray
     sign: int = -1
+    lipschitz_proven = True
 
     def __post_init__(self):
         pts = np.atleast_2d(np.array(self.points, dtype=float))  # a copy, as in BusemannField

@@ -42,10 +42,13 @@ result's `cost_lower`; a product plan, the only coupling of a Dirac, is its
 own bound.
 
 Numpy does the work on the whole matrix: the distance and cost matrices
-and their scaling, pricing, and the certificate's dual slack. Work on the
-plan's n+m-1 cells (flows, the negative-flow check, the `PRUNE_TOL` snap,
-the duality gap, the plan's cost, the zero-mass filter and the marginal
-check of `Coupling.validate`) runs in plain Python over lists, where one
+and their scaling, and pricing. The last pricing of a solve already priced
+the final potentials, so its smallest reduced cost is the certificate's
+dual slack; only an unpriced solve on the line prices once more to get it.
+Work on the plan's n+m-1 cells (flows, the negative-flow check, the
+`PRUNE_TOL` snap, the duality gap, the plan's cost, the zero-mass filter
+and the marginal check that `Coupling.validate` shares) runs in plain
+Python over lists, where one
 numpy call on a few entries would cost more than the arithmetic. The plan
 arrays are built once, at the end; the simplex's sums over plan cells use
 `math.fsum`.
@@ -133,19 +136,26 @@ class Coupling:
         return out
 
     def validate(self) -> None:
-        # one pass over the plan's cells in Python: a plan has only n+m-1 of them
-        a, b = self.source.weights.tolist(), self.target.weights.tolist()
-        row, col = [0.0] * len(a), [0.0] * len(b)
-        for i, j, w in zip(self.rows.tolist(), self.cols.tolist(), self.masses.tolist()):
-            row[i] += w
-            col[j] += w
-        gap = max(map(abs, map(operator.sub, row + col, a + b)))
-        if gap > MARGINAL_TOL:
-            raise NumericalInconsistency(f"coupling marginals off by {gap:.3e} (> {MARGINAL_TOL})")
+        _check_marginals(self.rows.tolist(), self.cols.tolist(), self.masses.tolist(),
+                         self.source.weights.tolist(), self.target.weights.tolist())
 
     def plan_list(self) -> list[list]:
         return [[int(i), int(j), float(m)]
                 for i, j, m in zip(self.rows, self.cols, self.masses)]
+
+
+def _check_marginals(rows, cols, masses, a, b) -> None:
+    """Raise unless the plan's cells, as lists, carry the weight lists a and b.
+
+    One pass over the cells in Python: a plan has only n+m-1 of them.
+    """
+    row, col = [0.0] * len(a), [0.0] * len(b)
+    for i, j, w in zip(rows, cols, masses):
+        row[i] += w
+        col[j] += w
+    gap = max(map(abs, map(operator.sub, row + col, a + b)))
+    if gap > MARGINAL_TOL:
+        raise NumericalInconsistency(f"coupling marginals off by {gap:.3e} (> {MARGINAL_TOL})")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -207,8 +217,8 @@ def _finish(mu, nu, p, rows, cols, masses, cost, solver, lower=None) -> Transpor
     """
     if min(masses) <= 0.0:
         rows, cols, masses = zip(*[c for c in zip(rows, cols, masses) if c[2] > 0.0])
+    _check_marginals(rows, cols, masses, mu.weights.tolist(), nu.weights.tolist())
     plan = Coupling(mu, nu, np.array(rows), np.array(cols), np.array(masses))
-    plan.validate()
     cost = max(float(cost), 0.0)
     value = cost if p == 1.0 else cost ** (1.0 / p)
     if value < VALUE_CLAMP:
@@ -244,7 +254,10 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
     `depth`, the flow on each node's parent edge, the potentials `pot` and
     an adjacency list. The northwest pass builds it: each staircase cell
     joins one new node to an end already in the tree. The plan comes back
-    as lists (rows, cols, flow) sorted by (row, col), with u and v as arrays.
+    as lists (rows, cols, flow) sorted by (row, col), with the potentials as
+    the list `pot` (u = pot[:n], v = pot[n:]) and the smallest reduced cost
+    of the last pricing, which priced these very potentials: the
+    certificate's dual slack. Unpriced, the slack is None.
     Dantzig's rule picks the entering cell and Cunningham's the leaving one,
     so the tree stays strongly feasible from start to plan.
 
@@ -288,7 +301,7 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
             j += 1
             x, px = n + j, i
 
-    def plan(settle, P):
+    def plan(settle, slack):
         """The plan on the tree, its flows re-solved from a and b in the order `settle`.
 
         A parent edge carries the net supply of the subtree below it, so
@@ -300,10 +313,10 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
             left[parent[x]] -= left[x]
         rows = [x if x < n else parent[x] for x in nodes]
         cols = [parent[x] - n if x < n else x - n for x in nodes]
-        return rows, cols, [flow[x] for x in nodes], P[:n], P[n:]
+        return rows, cols, [flow[x] for x in nodes], pot, slack
 
     if not price:  # every staircase node joins after its parent
-        return plan(reversed(nodes), np.array(pot))
+        return plan(reversed(nodes), None)
     adj: list[list[int]] = [[] for _ in range(N)]
     for x in nodes:
         adj[x].append(parent[x])
@@ -349,9 +362,9 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
         r = R.item(k)
         if not r < -_ENTER_TOL:   # also stops on a NaN cost (overflow)
             if not pivots:
-                return plan(reversed(nodes), P)
+                return plan(reversed(nodes), r)
             nodes = sorted(range(1, N), key=cell_index)  # the plan in (row, col) order
-            return plan(sorted(range(1, N), key=depth.__getitem__, reverse=True), P)
+            return plan(sorted(range(1, N), key=depth.__getitem__, reverse=True), r)
         down, up, theta = cycle(k)
         # the last blocking edge on the walk leaves; f - theta is 0.0 exactly
         # when f == theta, so the tree's zero-flow edges all point to the root
@@ -391,17 +404,23 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
     raise SolverStalled(f"simplex exceeded {cap} pivots on a {n}x{m} instance")
 
 
-def _certify(Cs, a, b, u, v, rows, cols, flow) -> float:
-    """Raise unless (u, v) prove the plan optimal for the unit-scaled cost Cs.
+def _certify(Cs, a, b, pot, rows, cols, flow, slack) -> float:
+    """Raise unless the potentials `pot` prove the plan optimal for the unit-scaled cost Cs.
 
-    Dual feasibility (u_i + v_j <= Cs_ij on every cell) bounds every plan's
-    cost from below by a.u + b.v; a zero gap to the plan's cost closes it.
-    The slack is checked on the whole matrix, the gap on the plan's cells.
-    Returns the lower bound on the optimal cost of Cs that the potentials
-    prove: u shifted by min(slack, 0) is feasible, and a sums to 1.
+    Dual feasibility (u_i + v_j <= Cs_ij on every cell, u = pot[:n] and
+    v = pot[n:]) bounds every plan's cost from below by a.u + b.v; a zero
+    gap to the plan's cost closes it. The slack is the least reduced cost
+    over the whole matrix: the simplex's last pricing, or, when it did not
+    price (slack None), one pricing here. The gap is taken on the plan's
+    cells. Returns the lower bound on the optimal cost of Cs that the
+    potentials prove: u shifted by min(slack, 0) is feasible, and a sums to 1.
     """
-    slack = float((Cs - u[:, None] - v[None, :]).min())
-    dual = _dot(a.tolist(), u.tolist()) + _dot(b.tolist(), v.tolist())
+    n = Cs.shape[0]
+    if slack is None:
+        P = np.array(pot)
+        R = Cs - P[:n, None] - P[None, n:]
+        slack = R.item(R.argmin())
+    dual = _dot(a.tolist(), pot[:n]) + _dot(b.tolist(), pot[n:])
     gap = abs(dual - _dot(flow, [Cs.item(i, j) for i, j in zip(rows, cols)]))
     if slack < -_CERT_TOL or gap > _CERT_TOL:
         raise NumericalInconsistency(
@@ -468,9 +487,9 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportResul
 def _certified_plan(mu, nu, p, C, price: bool) -> TransportResult:
     """The simplex plan for the cost C, checked and certified on C scaled to unit maximum."""
     a, b = mu.weights, nu.weights
-    scale = float(C.max())
+    scale = C.item(C.argmax())
     Cs = C / scale if scale > 0.0 else C
-    rows, cols, flow, u, v = _simplex_basis(Cs, a, b, price)
+    rows, cols, flow, pot, slack = _simplex_basis(Cs, a, b, price)
     low = min(flow)
     if low < -1e-9:
         raise NumericalInconsistency(f"basis re-solve produced flow {low:.3e} < 0")
@@ -479,7 +498,7 @@ def _certified_plan(mu, nu, p, C, price: bool) -> TransportResult:
     flow = [f if f >= PRUNE_TOL else 0.0 for f in flow]
     lower = 0.0
     if math.isfinite(scale):  # an overflowed |x-y|^p has no certificate to check
-        lower = _certify(Cs, a, b, u, v, rows, cols, flow) * scale
+        lower = _certify(Cs, a, b, pot, rows, cols, flow, slack) * scale
     cost = _dot(flow, [C.item(i, j) for i, j in zip(rows, cols)])
     return _finish(mu, nu, p, rows, cols, flow, cost, "simplex", lower)
 

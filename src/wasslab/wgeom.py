@@ -54,33 +54,63 @@ def certified_distance(omega: DiscreteMeasure, x: DiscreteMeasure, p: float,
     return wasserstein_exact(omega, x, p).value
 
 
-def shift_bracket(omega: DiscreteMeasure, rows: np.ndarray, p: float) -> tuple[float, float]:
+def shift_bracket(omega: DiscreteMeasure, rows: np.ndarray, p: float,
+                  lower: float = 0.0) -> tuple[float, float]:
     """[lo, hi] around W_p(omega, sum_i w_i delta_{rows[i]}), omega = sum_i w_i delta_{omega_i}.
 
     With shifts D_i = rows[i] - omega_i, moving each atom by its shift is a
-    coupling, so W_p <= hi = (sum_i w_i |D_i|^p)^(1/p); and the 1-Lipschitz
-    function <., e>, with e along the mean shift, gains |sum_i w_i D_i|, so
-    W_p >= W_1 >= lo = |sum_i w_i D_i|. `rows` follow omega's atom order.
+    coupling, so W_p <= hi = (sum_i w_i |D_i|^p)^(1/p). The lower end is the
+    largest of three proofs:
+
+    - the 1-Lipschitz function <., e>, with e along the mean shift, gains
+      |sum_i w_i D_i|, so W_p >= W_1 >= |sum_i w_i D_i|;
+    - `lower`, a bound the caller proves, such as the gain of a field that
+      is 1-Lipschitz by construction (Kantorovich-Rubinstein);
+    - separation: if |D_k| + |D_j| <= |omega_k - omega_j| for every pair
+      k != j, then |omega_k - rows[j]| >= |omega_k - omega_j| - |D_j| >= |D_k|,
+      so every cell of every coupling costs at least its row's |D_k|^p and
+      lo = hi. It is checked only when the other two leave the bracket open.
+
+    `rows` follow omega's atom order.
     """
     shift = rows - omega.support
     lengths = np.sqrt((shift * shift).sum(axis=1))
     mean = omega.weights @ shift
     hi = math.fsum(omega.weights * (lengths if p == 1.0 else lengths**p))
-    return math.sqrt(mean.dot(mean)), hi if p == 1.0 else hi ** (1.0 / p)
+    hi = hi if p == 1.0 else hi ** (1.0 / p)
+    lo = max(math.sqrt(mean.dot(mean)), lower)
+    if hi - lo > BRACKET_TOL * hi:
+        pts = omega.support
+        diff = pts[:, None, :] - pts[None, :, :]
+        room = np.sqrt((diff * diff).sum(axis=2)) - lengths[:, None] - lengths[None, :]
+        np.fill_diagonal(room, 0.0)
+        if room.item(room.argmin()) >= 0.0:
+            lo = hi
+    return lo, hi
 
 
 def shifted_measure(omega: DiscreteMeasure, rows: np.ndarray,
                     p: float) -> tuple[DiscreteMeasure, float]:
-    """sum_i w_i delta_{rows[i]} and its certified distance from omega = sum_i w_i delta_{omega_i}.
+    """x = sum_i w_i delta_{rows[i]} and its certified W_p distance from omega.
 
-    The distance comes from `shift_bracket` on the rows as built, not on the
-    re-sorted support. Atoms that merged have moved off their rows, and then
-    the distance is solved.
+    The weights w are omega's, and `rows` follow omega's atom order.
     """
     x = validate_measure(rows, omega.weights)
+    return x, shift_distance(omega, x, rows, p)
+
+
+def shift_distance(omega: DiscreteMeasure, x: DiscreteMeasure, rows: np.ndarray, p: float,
+                   lower: float = 0.0) -> float:
+    """Certified W_p(omega, x) for x = validate_measure(rows, omega.weights).
+
+    The distance comes from `shift_bracket` on the rows as built, not on the
+    re-sorted support, with `lower` a further lower bound the caller proves.
+    Atoms that merged have moved off their rows, and then the distance is
+    solved.
+    """
     if x.n_atoms != omega.n_atoms:
-        return x, wasserstein_exact(omega, x, p).value
-    return x, certified_distance(omega, x, p, *shift_bracket(omega, rows, p))
+        return wasserstein_exact(omega, x, p).value
+    return certified_distance(omega, x, p, *shift_bracket(omega, rows, p, lower))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,8 +353,10 @@ def _atom_shift_candidate(omega, r, p, rng):
 
     The search starts at s = r * w_i^(-1/p), where moving atom i alone costs
     exactly r; a try outside the band (the atom met a neighbour) rescales s
-    by r / cert, clipped to [0.2, 5], for at most 8 tries. Each try is
-    solved: its shift bracket [w_i s, w_i^(1/p) s] is never tight.
+    by r / cert, clipped to [0.2, 5], for at most 8 tries. A try whose s
+    stays within atom i's distance to its nearest other atom is certified
+    by the shift bracket's separation end, at w_i^(1/p) s; a longer one is
+    solved.
     """
     idx = int(rng.integers(omega.n_atoms))
     u = _random_unit(rng, omega.dim)
@@ -332,8 +364,7 @@ def _atom_shift_candidate(omega, r, p, rng):
     for _ in range(8):
         pts = omega.support.copy()
         pts[idx] = pts[idx] + s * u
-        cand = validate_measure(pts, omega.weights)
-        cert = wasserstein_exact(omega, cand, p).value
+        cand, cert = shifted_measure(omega, pts, p)
         if _in_band(cert, r):
             break
         if cert <= 1e-12:

@@ -1,12 +1,19 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wasslab import discrete_measure
+from wasslab.cli import main
 from wasslab.discrete_measure import (
     MERGE_TOL,
+    PRUNE_TOL,
+    SUM_FIX_TOL,
+    SUM_KEEP_TOL,
     DiscreteMeasure,
     MeasureSetSequence,
     dirac,
@@ -14,6 +21,7 @@ from wasslab.discrete_measure import (
     validate_measure,
 )
 from wasslab.errors import (
+    DomainError,
     EmptyMeasure,
     InvalidWeight,
     NotNormalized,
@@ -133,6 +141,94 @@ def test_each_atom_carries_the_weight_of_its_group(case):
     atoms = sorted((min(map(tuple, pts[g])), w[g].sum()) for g in _groups(pts))
     assert np.array_equal(m.support, np.array([lead for lead, _ in atoms]))
     assert np.abs(m.weights - [mass for _, mass in atoms]).max() <= 1e-15
+
+
+def test_malformed_weights_and_supports_keep_their_error_classes(tmp_path, capsys):
+    two = [[0.0], [1.0]]
+    # the weights overflow a float sum: not normalized, as when numpy summed them to inf
+    with pytest.raises(NotNormalized, match="inf"):
+        validate_measure(two, [1e308, 1e308])
+    with pytest.raises(InvalidWeight, match="finite"):
+        validate_measure(two, [math.inf, -math.inf])
+    for bad in ([math.nan, 1.0], [0.5, math.nan], [math.inf, 0.0]):
+        with pytest.raises(InvalidWeight, match="finite"):
+            validate_measure(two, bad)
+    with pytest.raises(InvalidWeight, match="negative weight -0.5"):
+        validate_measure([[0.0], [1.0], [2.0]], [-0.5, 1.0, 0.5])
+    for bad in (math.nan, math.inf, -math.inf):
+        for row in (0, 1):
+            pts = [[0.0, 1.0], [2.0, 3.0]]
+            pts[row][1 - row] = bad
+            with pytest.raises(DomainError, match="non-finite"):
+                validate_measure(pts, [0.5, 0.5])
+    measures = tmp_path / "overflow.json"
+    measures.write_text(json.dumps([{"support": two, "weights": [1e308, 1e308]},
+                                    {"support": [[2.0]], "weights": [1.0]}]))
+    assert main(["wp", str(measures)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _reduction_based(support, weights) -> DiscreteMeasure:
+    """`validate_measure` as it was written with whole-array reductions, for comparison."""
+    pts = discrete_measure._canonical_support(support)
+    n = pts.shape[0]
+    if n == 0:
+        raise EmptyMeasure("measure needs at least one atom")
+    if not math.isfinite(pts.sum()) and not np.isfinite(pts).all():
+        raise DomainError("support has non-finite coordinates")
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    total = float(w.sum())
+    if not (math.isfinite(total) and w.min() >= 0.0):
+        if not np.isfinite(w).all():
+            raise InvalidWeight("weights must be finite")
+        if (w < 0.0).any():
+            raise InvalidWeight(f"negative weight {float(w.min())}")
+    if abs(total - 1.0) > SUM_FIX_TOL + 1e-15:
+        raise NotNormalized(f"weight sum {total}")
+    if abs(total - 1.0) > SUM_KEEP_TOL:
+        w = w / total
+    if n > 1:
+        order = np.lexsort(pts.T[::-1])
+        pts, w = pts[order], w[order]
+        x0 = pts[:, 0]
+        gaps = x0[1:] - x0[:-1]
+        if gaps.min() <= MERGE_TOL:
+            pts, w = discrete_measure._merge_runs(pts, w, gaps <= MERGE_TOL)
+    else:
+        pts, w = pts.copy(), w.copy()
+    if w.min() < PRUNE_TOL:
+        keep = w >= PRUNE_TOL
+        pts, w = pts[keep], w[keep]
+        if pts.shape[0] == 0:
+            raise EmptyMeasure("all atoms pruned; measure has no mass")
+    total = float(w.sum())
+    if abs(total - 1.0) > SUM_KEEP_TOL:
+        w = w / total
+    return DiscreteMeasure(pts, w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_clustered(), st.lists(st.booleans(), min_size=8, max_size=8), st.integers(0, 2**16))
+def test_normalized_inputs_come_out_as_the_reduction_based_version_gave(case, tiny, seed):
+    # merge chains from the clustered rows, weights below PRUNE_TOL where `tiny` says,
+    # and rows spread at random when the seed is odd
+    pts, w, _ = case
+    if seed % 2:
+        pts = pts + np.random.default_rng(seed).uniform(-5.0, 5.0, size=pts.shape)
+    w = np.where(tiny[:w.shape[0]], 1e-18 * w, w)
+    w = w / w.sum()
+    m, old = validate_measure(pts, w), _reduction_based(pts, w)
+    assert m.support.tobytes() == old.support.tobytes()
+    assert m.weights.tobytes() == old.weights.tobytes()
+
+
+def test_measures_stay_frozen_dataclasses():
+    m = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.support = None
+    moved = dataclasses.replace(m, support=m.support + 1.0)
+    assert moved.support.tolist() == [[1.0], [2.0]] and moved.weights is m.weights
+    assert [f.name for f in dataclasses.fields(m)] == ["support", "weights"]
 
 
 def test_validate_idempotent():

@@ -398,7 +398,8 @@ def _planar_instance(draw):
 def test_pivoted_basis_is_a_spanning_tree_with_tight_potentials(instance):
     Cs, a, b = instance
     n, m = Cs.shape
-    rows, cols, flow, u, v = ot_exact._simplex_basis(Cs, a, b, True)
+    rows, cols, flow, pot, slack = ot_exact._simplex_basis(Cs, a, b, True)
+    u, v = np.array(pot[:n]), np.array(pot[n:])
     assert len(set(zip(rows, cols))) == len(rows) == n + m - 1
     reached, todo = {0}, [0]  # n+m-1 distinct cells reaching every node form a tree
     while todo:
@@ -411,6 +412,8 @@ def test_pivoted_basis_is_a_spanning_tree_with_tight_potentials(instance):
     assert reached == set(range(n + m))
     assert np.abs(u[rows] + v[cols] - Cs[rows, cols]).max() <= 1e-12  # zero-flow cells too
     assert (Cs - u[:, None] - v[None, :]).min() >= -ot_exact._ENTER_TOL
+    # the last pricing priced these potentials: its least reduced cost is the dual slack
+    assert slack == (Cs - u[:, None] - v[None, :]).min()
 
 
 def test_every_route_is_certified(monkeypatch):
@@ -436,9 +439,10 @@ def test_line_prices_when_the_clamp_breaks_the_monotone_order():
     C = np.abs(mu.support - nu.support.T)
     C[C < ot_exact.DIST_CLAMP] = 0.0
     Cs = C / C.max()
-    rows, cols, flow, u, v = ot_exact._simplex_basis(Cs, mu.weights, nu.weights, False)
+    rows, cols, flow, pot, slack = ot_exact._simplex_basis(Cs, mu.weights, nu.weights, False)
+    assert slack is None  # unpriced: the certificate prices the potentials itself
     with pytest.raises(NumericalInconsistency, match="certificate"):
-        ot_exact._certify(Cs, mu.weights, nu.weights, u, v, rows, cols, flow)
+        ot_exact._certify(Cs, mu.weights, nu.weights, pot, rows, cols, flow, slack)
     res = wasserstein_exact(mu, nu, 1.0)
     assert res.cost == pytest.approx(brute_force_oracle(mu, nu, 1.0).cost, rel=1e-12)
     assert res.cost < np.sum(np.array(flow) * C[rows, cols])
@@ -507,7 +511,9 @@ def test_certificate_rejects_a_non_optimal_basis(monkeypatch):
     def northwest_tree(C, a, b, price):
         v0 = C[0, 0]
         u1 = C[1, 0] - v0
-        return (*northwest_2x2(), np.array([0.0, u1]), np.array([v0, C[1, 1] - u1]))
+        pot = [0.0, u1, v0, C[1, 1] - u1]  # tight on the tree's three cells
+        R = C - np.array(pot[:2])[:, None] - np.array(pot[2:])[None, :]
+        return (*(x.tolist() for x in northwest_2x2()), pot, R.min())
     monkeypatch.setattr(ot_exact, "_simplex_basis", northwest_tree)
     ot_exact._memo.clear()  # else the memo serves the first solve again
     with pytest.raises(NumericalInconsistency, match="certificate"):
@@ -562,8 +568,8 @@ def test_memo_never_stores_a_raise(monkeypatch):
             wasserstein_exact(mu, nu, 0.5)
     assert not ot_exact._memo
 
-    def non_optimal_tree(C, a, b, price):
-        return (*northwest_2x2(), np.zeros(a.shape[0]), np.zeros(b.shape[0]))
+    def non_optimal_tree(C, a, b, price):  # unpriced, so the certificate prices it
+        return (*(x.tolist() for x in northwest_2x2()), [0.0] * (C.shape[0] + C.shape[1]), None)
     monkeypatch.setattr(ot_exact, "_simplex_basis", non_optimal_tree)
     for _ in range(2):
         with pytest.raises(NumericalInconsistency, match="certificate"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wasslab import wgeom
-from wasslab.base_space import BusemannField, MinField
+from wasslab.base_space import BaseRay, BusemannField, CustomField, DistanceField, MinField
 from wasslab.discrete_measure import validate_measure
 from wasslab.viscosity import (
     ConstantField,
@@ -48,10 +48,11 @@ def test_analytic_candidates_solve_only_what_their_construction_leaves_open(solv
     # every atom of a lifted Busemann field moves the same way: a tight bracket
     x, cert, value = lift(BusemannField(E1), 2.0).descent_candidate(OMEGA, 0.5)
     assert cert == 0.5 and not solves
-    # the minimum sends OMEGA's atoms three ways, so the bracket is wide and solved
+    # the minimum sends OMEGA's atoms three ways, so the mean shift leaves the bracket
+    # wide; the built-in base is 1-Lipschitz, so its gain closes it
     x, cert, value = MIN_FIELD.descent_candidate(OMEGA, 0.5)
     assert value == pytest.approx(MIN_FIELD.evaluate(OMEGA) - 0.5, abs=1e-12)
-    assert len(solves) == 1
+    assert cert == pytest.approx(0.5, abs=1e-12) and not solves
     # the distance field's candidate takes distance and value from its geodesic
     solves.clear()
     D = DistanceToField(TARGET, 1.0)
@@ -59,6 +60,24 @@ def test_analytic_candidates_solve_only_what_their_construction_leaves_open(solv
     assert len(solves) == 1
     assert cert == pytest.approx(0.5, abs=1e-12)
     assert value == pytest.approx(D.evaluate(x), abs=1e-12)
+
+
+def test_a_declared_bound_still_solves_its_candidate(solves):
+    # -|x| moves the atoms at -0.1 and 0.1 apart: the mean shift is 0 and the atoms
+    # pass within each other's reach, so only a base proven 1-Lipschitz skips the solve
+    omega = validate_measure([[-0.1], [0.1]], [0.5, 0.5])
+    away = lambda x: BaseRay(x, np.sign(x))  # noqa: E731
+    proven = lift(DistanceField([[0.0]], sign=-1), 2.0)
+    assert proven.descent_candidate(omega, 1.0)[1] == 1.0 and not solves
+    for slope in (1.0, 2.0):
+        declared = lift(CustomField(lambda x: -slope * abs(x[0]), dim=1, ray_fn=away), 2.0)
+        solves.clear()
+        _, cert, value = declared.descent_candidate(omega, 1.0)
+        assert len(solves) == 1 and cert == pytest.approx(1.0, abs=1e-12)
+        assert declared.evaluate(omega) - value == pytest.approx(slope, abs=1e-12)
+    # the slope-2 field drops twice its distance, which refutes it
+    res = viscosity_sphere_test(declared, omega, radii=(1.0,), rng=0)
+    assert res.verdict == "FAIL" and res.radii[0].refuter is not None
 
 
 def test_distance_field_dlg_solves_once_per_level(solves):
@@ -89,11 +108,11 @@ VERDICTS = {
 
 
 @pytest.mark.parametrize("kind, expected", [
-    ("sphere_lifted", 9),
-    ("sphere_constant", 6),
-    ("sphere_distance", 22),
-    ("dlg", 2),
-    ("descent", 9),
+    ("sphere_lifted", 4),
+    ("sphere_constant", 4),
+    ("sphere_distance", 20),
+    ("dlg", 0),
+    ("descent", 4),
     ("busemann", 15),
 ])
 def test_verdict_solve_counts(solves, kind, expected):

@@ -193,8 +193,8 @@ def test_sphere_sample_translation_always_exact():
 
 
 def test_single_atom_shift_certificate(solves):
-    # moving the atom at 4 by +2 certifies sqrt(1/2 * 4) = sqrt(2) while the
-    # identity pairing stays optimal
+    # moving either atom by 2 certifies sqrt(1/2 * 4) = sqrt(2): the move stays
+    # within the distance 4 to the other atom, so the identity pairing is optimal
     omega = validate_measure([[0.0], [4.0]], [0.5, 0.5])
     moved = validate_measure([[0.0], [6.0]], [0.5, 0.5])
     cert = brute_force_oracle(omega, moved, 2.0).value
@@ -204,7 +204,7 @@ def test_single_atom_shift_certificate(solves):
         solves.clear()
         cand, c = wgeom._atom_shift_candidate(omega, math.sqrt(2.0), 2.0, rng)
         # the search starts at s = r / sqrt(1/2) = 2, where the move alone costs r
-        assert len(solves) == 1
+        assert not solves
         assert 0.9 * math.sqrt(2.0) <= c <= 1.1 * math.sqrt(2.0)
         assert abs(c - brute_force_oracle(omega, cand, 2.0).value) <= 1e-12
 
@@ -528,6 +528,87 @@ def test_cut_brackets_hold_both_solved_distances(n, m, dim, p, log_scale, frac, 
     assume(x.n_atoms == path.masses.shape[0])
     assert _inside(lo, wasserstein_exact(omega, x, p).value, hi)
     assert _inside(lo_far, wasserstein_exact(x, target, p).value, hi_far)
+
+
+def _nearest_other(omega) -> np.ndarray:
+    """Each atom's distance to its nearest other atom (inf for a Dirac)."""
+    gaps = np.linalg.norm(omega.support[:, None, :] - omega.support[None, :, :], axis=2)
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min(axis=1)
+
+
+@_BRACKETS
+@given(st.integers(1, 12), st.integers(1, 3), _BRACKET_P, st.floats(-3.0, 3.0),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_separated_shifts_are_certified_at_the_solved_distance(n, dim, p, log_scale, one, seed):
+    # every atom moves by at most half its distance to the nearest other atom, so
+    # |D_k| + |D_j| <= |omega_k - omega_j|; or one atom moves by up to that whole distance
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    omega = random_measure(rng, n, dim, box=scale, min_atoms=n)
+    room = np.minimum(_nearest_other(omega), scale)
+    u = rng.normal(size=omega.support.shape)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    lengths = rng.uniform(0.01, 1.0, size=n) * room
+    if one:
+        lengths = np.where(np.arange(n) == rng.integers(n), 2.0 * lengths, 0.0)
+    rows = omega.support + 0.5 * lengths[:, None] * u
+    lo, hi = wgeom.shift_bracket(omega, rows, p)
+    assert hi - lo <= wgeom.BRACKET_TOL * hi
+    x, cert = wgeom.shifted_measure(omega, rows, p)
+    assert x.n_atoms == n
+    assert abs(cert - wasserstein_exact(omega, x, p).value) <= 1e-12 * cert
+
+
+@st.composite
+def _proven_base(draw, dim):
+    """A built-in base field with global descent rays: a minimum of 1-3 Busemann
+    fields, or the negative distance to one anchor."""
+    if draw(st.booleans()):
+        return DistanceField(np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim,
+                                                    max_size=dim))), sign=-1)
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array).filter(
+        lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+    return min_combine([BusemannField(draw(unit), draw(st.floats(-1.0, 1.0)))
+                        for _ in range(draw(st.integers(1, 3)))])
+
+
+@_BRACKETS
+@given(st.integers(1, 12), st.integers(1, 3), _BRACKET_P, st.floats(-3.0, 3.0),
+       st.floats(0.01, 2.0), st.data(), st.integers(0, 2**32 - 1))
+def test_a_proven_base_never_drops_beyond_the_solved_distance(n, dim, p, log_scale, frac,
+                                                             data, seed):
+    # the Kantorovich-Rubinstein end lets the lifted candidate skip its solve,
+    # so the drop it certifies must stay within the solver's distance
+    scale = 10.0 ** log_scale
+    base = data.draw(_proven_base(dim))
+    if isinstance(base, DistanceField):
+        base = DistanceField(scale * base.points, sign=-1)
+    else:
+        base = min_combine([BusemannField(f.direction, scale * f.offset)
+                            for f in getattr(base, "fields", (base,))])
+    U = lift(base, p)
+    omega = random_measure(np.random.default_rng(seed), n, dim, box=scale, min_atoms=n)
+    x, cert, value = U.descent_candidate(omega, frac * scale)
+    solved = wasserstein_exact(omega, x, p).value
+    assert U.evaluate(omega) - value <= solved + 1e-12 * max(1.0, scale)
+    assert abs(cert - solved) <= 1e-12 * solved
+
+
+def test_separation_needs_both_shifts_within_the_gap(solves):
+    # 1/2 d0 + 1/2 d1 with each atom moved 0.9 toward the other: each shift is
+    # shorter than the gap 1, but the two together are not, and swapping the
+    # pairing costs 0.1 where the identity costs 0.9
+    omega = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    rows = np.array([[0.9], [0.1]])
+    assert wgeom.shift_bracket(omega, rows, 2.0) == (0.0, 0.9)
+    x, cert = wgeom.shifted_measure(omega, rows, 2.0)
+    assert cert == pytest.approx(brute_force_oracle(omega, x, 2.0).value) == pytest.approx(0.1)
+    assert len(solves) == 1
+    # moved by 0.5 and 0.4, together within the gap, the identity pairing is optimal
+    solves.clear()
+    lo, hi = wgeom.shift_bracket(omega, np.array([[0.5], [0.6]]), 1.0)
+    assert lo == hi == 0.45 and not solves
 
 
 def test_a_shift_bracket_is_never_taken_without_its_lower_end(solves):
