@@ -30,6 +30,8 @@ from .scenarios import (
 )
 from .viscosity import (
     dlg_test,
+    drop_json,
+    gap_json,
     global_slope_estimate,
     greedy_descent,
     lifted_ray,
@@ -183,7 +185,7 @@ def _cmd_descend(args) -> int:
                               budget=_number(cfg, "budget", 8, int), rng=args.seed)
     except DescentStalled as exc:
         _print_json({"op": "descend", "stalled_at_step": exc.step,
-                     "best_gap": exc.best_gap})
+                     "best_gap": gap_json(exc.best_gap), "refuter": drop_json(exc.refuter)})
         return 1
     _print_json({
         "op": "descend",

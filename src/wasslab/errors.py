@@ -100,11 +100,15 @@ class DescentStalled(WasslabError):
     """Greedy descent found no admissible candidate at some step.
 
     Carries the partially built polyline, the 1-based step index at which
-    the search gave up, and the best calibration gap seen at that step.
+    the search gave up, the best calibration gap seen at that step, and the
+    step's first candidate whose drop refuted the 1-Lipschitz premise, as
+    (measure, distance, drop), or None.
     """
 
-    def __init__(self, message: str, step: int, best_gap: float, polyline=None):
+    def __init__(self, message: str, step: int, best_gap: float, polyline=None,
+                 refuter=None):
         super().__init__(message)
         self.step = step
         self.best_gap = best_gap
         self.polyline = polyline
+        self.refuter = refuter

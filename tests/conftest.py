@@ -1,6 +1,6 @@
 import pytest
 
-from wasslab import ot_exact, viscosity, wgeom
+from wasslab import measure_fields, ot_exact, viscosity, wgeom
 
 
 @pytest.fixture(autouse=True)
@@ -32,6 +32,6 @@ def solves(monkeypatch) -> list:
     def counted(mu, nu, p):
         calls.append((mu, nu))
         return ot_exact.wasserstein_exact(mu, nu, p)
-    for module in (viscosity, wgeom):
+    for module in (measure_fields, viscosity, wgeom):
         monkeypatch.setattr(module, "wasserstein_exact", counted)
     return calls

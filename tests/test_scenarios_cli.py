@@ -180,6 +180,43 @@ def test_cli_descend_does_not_pass_a_field_steeper_than_its_bound(tmp_path, caps
     assert out["stalled_at_step"] == 1 and out["best_gap"] < 0.0
 
 
+
+def _strict_json(text):
+    """Parse as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_stall_reports_its_refuter(tmp_path, capsys, monkeypatch):
+    steep = wasslab.lift(wasslab.CustomField(lambda x: -2.0 * x[0], dim=1,
+                                             ray_fn=lambda x: wasslab.BaseRay(x, [1.0])))
+    monkeypatch.setattr("wasslab.cli.measure_field_from_config", lambda cfg, p: steep)
+    cfg_path = tmp_path / "steep.json"
+    cfg_path.write_text(json.dumps({
+        "field": {"kind": "lifted"},
+        "omega": {"dim": 1, "support": [[0.0], [1.0]], "weights": [0.5, 0.5]}}))
+    assert main(["descend", str(cfg_path)]) == 1
+    refuter = _strict_json(capsys.readouterr().out)["refuter"]
+    assert refuter["distance"] == pytest.approx(1.0) and refuter["drop"] == pytest.approx(2.0)
+
+
+def test_cli_writes_a_gap_without_candidates_as_null(tmp_path, capsys):
+    omega = {"support": [[0.0], [1.0]], "weights": [0.5, 0.5]}
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps({"field": {"kind": "constant", "value": 0.0},
+                                    "omega": omega, "radii": [1e-13]}))
+    assert main(["check-viscosity", str(cfg_path)]) == 1
+    probe = _strict_json(capsys.readouterr().out)["witness"][0]
+    assert probe["best_gap"] is None and probe["n_candidates"] == 0
+
+    cfg_path.write_text(json.dumps({"field": {"kind": "constant", "value": 0.0},
+                                    "omega": omega, "step_length": 1e-13}))
+    assert main(["descend", str(cfg_path)]) == 1
+    out = _strict_json(capsys.readouterr().out)
+    assert out["stalled_at_step"] == 1 and out["best_gap"] is None
+    assert out["refuter"] is None
+
 def test_cli_busemann_and_slope(tmp_path, capsys):
     cfg = {
         "field": {"kind": "lifted",

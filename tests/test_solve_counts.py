@@ -9,7 +9,7 @@ call the verdicts and the sphere sampler make, memo hits included.
 import numpy as np
 import pytest
 
-from wasslab import wgeom
+from wasslab import measure_fields, wgeom
 from wasslab.base_space import BaseRay, BusemannField, CustomField, DistanceField, MinField
 from wasslab.discrete_measure import validate_measure
 from wasslab.viscosity import (
@@ -46,18 +46,21 @@ def test_a_path_candidate_solves_only_its_geodesic(solves):
 
 def test_analytic_candidates_solve_only_what_their_construction_leaves_open(solves):
     # every atom of a lifted Busemann field moves the same way: a tight bracket
-    x, cert, value = lift(BusemannField(E1), 2.0).descent_candidate(OMEGA, 0.5)
+    x, cert, value = lift(BusemannField(E1), 2.0).at(OMEGA).candidate(0.5)
     assert cert == 0.5 and not solves
     # the minimum sends OMEGA's atoms three ways, so the mean shift leaves the bracket
     # wide; the built-in base is 1-Lipschitz, so its gain closes it
-    x, cert, value = MIN_FIELD.descent_candidate(OMEGA, 0.5)
+    x, cert, value = MIN_FIELD.at(OMEGA).candidate(0.5)
     assert value == pytest.approx(MIN_FIELD.evaluate(OMEGA) - 0.5, abs=1e-12)
     assert cert == pytest.approx(0.5, abs=1e-12) and not solves
-    # the distance field's candidate takes distance and value from its geodesic
+    # the distance field's candidate takes distance and value from its geodesic, which
+    # looks up the one solve its base point made
     solves.clear()
     D = DistanceToField(TARGET, 1.0)
-    x, cert, value = D.descent_candidate(OMEGA, 0.5)
+    point = D.at(OMEGA)
     assert len(solves) == 1
+    x, cert, value = point.candidate(0.5)
+    assert len(solves) == 2 and solves[1][0] is OMEGA and solves[1][1] is TARGET
     assert cert == pytest.approx(0.5, abs=1e-12)
     assert value == pytest.approx(D.evaluate(x), abs=1e-12)
 
@@ -68,11 +71,11 @@ def test_a_declared_bound_still_solves_its_candidate(solves):
     omega = validate_measure([[-0.1], [0.1]], [0.5, 0.5])
     away = lambda x: BaseRay(x, np.sign(x))  # noqa: E731
     proven = lift(DistanceField([[0.0]], sign=-1), 2.0)
-    assert proven.descent_candidate(omega, 1.0)[1] == 1.0 and not solves
+    assert proven.at(omega).candidate(1.0)[1] == 1.0 and not solves
     for slope in (1.0, 2.0):
         declared = lift(CustomField(lambda x: -slope * abs(x[0]), dim=1, ray_fn=away), 2.0)
         solves.clear()
-        _, cert, value = declared.descent_candidate(omega, 1.0)
+        _, cert, value = declared.at(omega).candidate(1.0)
         assert len(solves) == 1 and cert == pytest.approx(1.0, abs=1e-12)
         assert declared.evaluate(omega) - value == pytest.approx(slope, abs=1e-12)
     # the slope-2 field drops twice its distance, which refutes it
@@ -86,7 +89,8 @@ def test_distance_field_dlg_solves_once_per_level(solves):
     levels = (value - 1.0, value - 2.0, value - 3.0)
     solves.clear()
     assert dlg_test(D, OMEGA, levels, rng=0).verdict == "PASS"
-    assert len(solves) == 1 + len(levels)  # U(omega), then each level's geodesic
+    # U(omega), then the geodesic's lookup of that solve, made once for every level
+    assert len(solves) == 2
 
 
 def _dlg():
@@ -110,7 +114,7 @@ VERDICTS = {
 @pytest.mark.parametrize("kind, expected", [
     ("sphere_lifted", 4),
     ("sphere_constant", 4),
-    ("sphere_distance", 20),
+    ("sphere_distance", 7),
     ("dlg", 0),
     ("descent", 4),
     ("busemann", 15),
@@ -119,3 +123,17 @@ def test_verdict_solve_counts(solves, kind, expected):
     result = VERDICTS[kind]()
     assert getattr(result, "verdict", "PASS") == ("FAIL" if kind == "sphere_constant" else "PASS")
     assert len(solves) == expected
+
+
+@pytest.mark.parametrize("kind, expected", [("sphere_lifted", 1), ("dlg", 1), ("descent", 3)])
+def test_lifted_ray_builds(monkeypatch, kind, expected):
+    # one lifted ray per base point: per sphere test and dlg test, and per descent step
+    builds = []
+    build = measure_fields.lifted_ray
+
+    def counted(U, omega):
+        builds.append(omega)
+        return build(U, omega)
+    monkeypatch.setattr(measure_fields, "lifted_ray", counted)
+    VERDICTS[kind]()
+    assert len(builds) == expected

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -30,13 +31,16 @@ from wasslab.errors import (
 )
 from wasslab.ot_exact import wasserstein_exact
 from wasslab.viscosity import (
+    BasePoint,
     CALIBRATION_EPS,
     ConstantField,
     DescentPolyline,
     DistanceToField,
     InfField,
+    MeasureField,
     RayBusemannField,
     dlg_test,
+    drop_json,
     global_slope_estimate,
     greedy_descent,
     inf_of_fields,
@@ -262,8 +266,9 @@ def test_dlg_stops_at_the_analytic_witness(solves):
     levels = (value - 1.0, value - 3.0)  # both reached inside the geodesic to the target
     solves.clear()
     assert dlg_test(D, omega, levels, rng=rng).verdict == "PASS"
-    # U(omega), then per level the geodesic, whose cut gives the point's distance and value
-    assert len(solves) == 1 + len(levels)
+    # U(omega), then the geodesic's lookup of that solve, made once for every level;
+    # its cuts give each point's distance and value
+    assert len(solves) == 2
     assert rng.bit_generator.state == state
 
 
@@ -310,6 +315,20 @@ def test_greedy_descent_constant_stalls_at_first_step():
     assert len(err.value.polyline.vertices) == 1
     assert err.value.best_gap > 0.5
 
+
+
+def test_a_stall_names_its_refuter():
+    # too steep: the slope-2 field's own ray drops 2 over arc length 1 and refutes it
+    with pytest.raises(DescentStalled) as err:
+        greedy_descent(_steep(2.0), _mix((0.0, 0.5), (1.0, 0.5)), eps=1e-2, steps=5, rng=0)
+    assert err.value.step == 1
+    x, cert, drop = err.value.refuter
+    assert cert == pytest.approx(1.0) and drop == pytest.approx(2.0)
+    assert x.support.ravel().tolist() == pytest.approx([1.0, 2.0])
+    # too flat: nothing drops, so nothing refutes
+    with pytest.raises(DescentStalled) as err:
+        greedy_descent(ConstantField(0.0, 2.0), dirac([0.0, 0.0]), eps=1e-2, steps=5, rng=11)
+    assert err.value.step == 1 and err.value.refuter is None
 
 def test_greedy_descent_min_locus_switch_keeps_inequality():
     # descent of a two-horizon minimum crosses the switching locus
@@ -564,3 +583,151 @@ def test_measure_field_from_config():
     assert measure_field_from_config(dist_cfg).evaluate(dirac([3.0])) == 2.0
     with pytest.raises(DomainError):
         measure_field_from_config({"kind": "nope"})
+
+
+def _floor_measure(rng, k, dim, scale, uniform):
+    w = np.full(k, 1.0 / k) if uniform else rng.random(k) + 0.05
+    return validate_measure(rng.uniform(-scale, scale, (k, dim)), w / w.sum())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]), st.floats(-3.0, 3.0), st.booleans(),
+       st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+def test_a_distance_floor_never_exceeds_the_solved_value(n, m, dim, p, log_scale, uniform,
+                                                         offset, seed):
+    # weak duality makes the floor a proof; `lower` adds the margin the verdicts skip by
+    scale = 10.0 ** log_scale
+    rng = np.random.default_rng(seed)
+    omega = _floor_measure(rng, n, dim, scale, uniform)
+    target = _floor_measure(rng, m, dim, scale, uniform)
+    D = DistanceToField(target, offset * scale, p)
+    point = D.at(omega)
+    res = wasserstein_exact(omega, target, p)
+    if res.plan.n_entries == n + m - 1:  # one tree: the floor at omega is the solved cost
+        assert abs(point.floor(omega) - point.value) <= 1e-12 * res.value
+    moved = omega.translate(rng.normal(scale=0.3 * scale, size=dim))
+    for x in (omega, moved, _floor_measure(rng, int(rng.integers(1, 13)), dim, scale, uniform)):
+        d = wasserstein_exact(omega, x, p).value
+        assert point.lower(x, d) <= D.evaluate(x)
+
+
+def _reader_results(U, omega, seed):
+    """Every output of the four slope verdicts on U at omega, as JSON."""
+    value = U.evaluate(omega)
+    est = local_slope_estimate(U, omega, budget=4, rng=seed)
+    out = [viscosity_sphere_test(U, omega, budget=4, rng=seed).to_json_dict(),
+           viscosity_sphere_test(U, omega, eps=0.5, budget=4, rng=seed).to_json_dict(),
+           dlg_test(U, omega, (value - 0.5, value - 2.0), budget=4, rng=seed).to_json_dict(),
+           [est.value, drop_json(est.witness), est.skipped_radii]]
+    try:
+        poly = greedy_descent(U, omega, eps=1e-2, steps=3, budget=4, rng=seed)
+        out.append([[v.to_json_dict() for v in poly.vertices], poly.times, poly.values])
+    except DescentStalled as exc:
+        out.append([exc.step, exc.best_gap, drop_json(exc.refuter)])
+    return json.dumps(out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_floor_changes_no_verdict_output(solves, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    omega = random_measure(rng, 4, 2, box=1.0)
+    # one target past every radius and one within the largest, where the geodesic
+    # candidate stops short and a sphere sample has to be the witness
+    far = random_measure(rng, 4, 2, box=1.0).translate([5.0, 0.0])
+    near = random_measure(rng, 3, 2, box=0.2).translate(omega.support.mean(axis=0) + [0.6, 0.0])
+    fields = [DistanceToField(far), DistanceToField(near, 0.3),
+              inf_of_fields([DistanceToField(far), DistanceToField(near, 0.3)])]
+    with_floor = [_reader_results(U, omega, seed) for U in fields]
+    read = len(solves)
+    solves.clear()
+    monkeypatch.setattr(BasePoint, "lower", lambda self, x, d: -math.inf)
+    assert [_reader_results(U, omega, seed) for U in fields] == with_floor
+    assert read < len(solves)
+
+
+class _Tabled(MeasureField):
+    """A value for each listed measure, 0 elsewhere; its exact value is its floor."""
+
+    p = 2.0
+
+    def __init__(self, table):
+        self.table = table
+
+    def evaluate(self, x):
+        return self.table.get(x.cache_key(), 0.0)
+
+    def at(self, omega):
+        return _ExactPoint(self, omega)
+
+
+class _ExactPoint(BasePoint):
+    def floor(self, x):
+        return self.field.evaluate(x)
+
+
+def _close_samples():
+    """A measure whose atoms lie closer than radius 1, and its four samples there at rng 0."""
+    omega = validate_measure([[0.0, 0.0], [0.05, 0.0], [0.0, 0.07]], [0.3, 0.3, 0.4])
+    return omega, sphere_sample(omega, 1.0, 2.0, budget=4, rng=0)
+
+
+def _dropping(found, drops):
+    """A tabled field, 0 at the base measure, that drops drops[i] at the i-th sample."""
+    return _Tabled({x.cache_key(): -drop for (x, _), drop in zip(found, drops)})
+
+
+def _unfloored(monkeypatch):
+    monkeypatch.setattr(BasePoint, "lower", lambda self, x, d: -math.inf)
+
+
+def test_a_skip_never_hides_a_witness(monkeypatch):
+    # the second sample has the least gap and is no witness; the third is one, at a
+    # larger distance with a larger gap, so only the witness rule has it read
+    omega, found = _close_samples()
+    eps = 0.5
+    (_, d1), (_, d2), (_, d3), (_, d4) = found
+    assert d2 < d3
+    gaps = (0.9 * d1, eps * (d2 + d3) / 2.0, eps * d3, 0.9 * d4)
+    U = _dropping(found, [d - gap for (_, d), gap in zip(found, gaps)])
+    res = viscosity_sphere_test(U, omega, radii=(1.0,), eps=eps, budget=4, rng=0)
+    assert res.verdict == "PASS" and res.radii[0].witness[1] == d3
+    assert res.radii[0].best_gap == gaps[1]
+    _unfloored(monkeypatch)
+    unfloored = viscosity_sphere_test(U, omega, radii=(1.0,), eps=eps, budget=4, rng=0)
+    assert unfloored.to_json_dict() == res.to_json_dict()
+
+
+def test_a_skip_never_hides_a_refuter(monkeypatch):
+    # the second sample, nearer than the level's distance 1, drops more than its own
+    # distance yet stays above the level, so only the refuter rule has dlg_test read it
+    omega, found = _close_samples()
+    d = [dist for _, dist in found]
+    assert d[1] < 1.0
+    U = _dropping(found, (0.5 * d[0], (1.0 + d[1]) / 2.0, 0.5 * d[2], 0.5 * d[3]))
+    res = dlg_test(U, omega, levels=(-1.0,), budget=4, rng=0)
+    assert res.verdict == "INCONCLUSIVE" and res.levels[0].refuter[1] == d[1]
+    _unfloored(monkeypatch)
+    assert dlg_test(U, omega, levels=(-1.0,), budget=4, rng=0).to_json_dict() == res.to_json_dict()
+
+
+def test_a_skip_never_hides_a_better_ratio(monkeypatch):
+    omega, found = _close_samples()
+    U = _dropping(found, [ratio * d for (_, d), ratio in zip(found, (0.5, 0.3, 0.9, 0.2))])
+    est = local_slope_estimate(U, omega, radii=(1.0,), budget=4, rng=0)
+    assert est.value == pytest.approx(0.9, rel=1e-12) and est.witness[1] == found[2][1]
+    _unfloored(monkeypatch)
+    again = local_slope_estimate(U, omega, radii=(1.0,), budget=4, rng=0)
+    assert (again.value, again.witness[1]) == (est.value, est.witness[1])
+
+
+def test_a_skip_never_hides_a_better_step(monkeypatch):
+    # the first sample is admissible; the third has the better margin, so only the
+    # margin rule has greedy_descent read it once a step is found
+    omega, found = _close_samples()
+    U = _dropping(found, [d - gap for (_, d), gap in zip(found, (0.04, 0.2, 0.01, 0.3))])
+    poly = greedy_descent(U, omega, eps=0.1, steps=1, budget=4, rng=0)
+    assert poly.times[1] == found[2][1] and poly.vertices[1].cache_key() == found[2][0].cache_key()
+    _unfloored(monkeypatch)
+    again = greedy_descent(U, omega, eps=0.1, steps=1, budget=4, rng=0)
+    assert (again.times, again.drops, again.values) == (poly.times, poly.drops, poly.values)

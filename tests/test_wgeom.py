@@ -589,7 +589,7 @@ def test_a_proven_base_never_drops_beyond_the_solved_distance(n, dim, p, log_sca
                             for f in getattr(base, "fields", (base,))])
     U = lift(base, p)
     omega = random_measure(np.random.default_rng(seed), n, dim, box=scale, min_atoms=n)
-    x, cert, value = U.descent_candidate(omega, frac * scale)
+    x, cert, value = U.at(omega).candidate(frac * scale)
     solved = wasserstein_exact(omega, x, p).value
     assert U.evaluate(omega) - value <= solved + 1e-12 * max(1.0, scale)
     assert abs(cert - solved) <= 1e-12 * solved
