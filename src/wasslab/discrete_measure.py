@@ -138,8 +138,7 @@ def validate_measure(support, weights) -> DiscreteMeasure:
     n = pts.shape[0]
     if n == 0:
         raise EmptyMeasure("measure needs at least one atom")
-    if not (math.isfinite(pts.item(pts.argmax())) and math.isfinite(pts.item(pts.argmin()))):
-        raise DomainError("support has non-finite coordinates")
+    check_finite(pts)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != n:
         raise InvalidWeight(f"{n} atoms but {w.shape[0]} weights")
@@ -224,6 +223,12 @@ def dirac(x) -> DiscreteMeasure:
     """Unit mass at a single point."""
     pts = np.asarray(x, dtype=float).reshape(1, -1)
     return validate_measure(pts, np.ones(1))
+
+
+def check_finite(pts: np.ndarray) -> None:
+    """Raise `DomainError` unless every coordinate of the non-empty array pts is finite."""
+    if not (math.isfinite(pts.item(pts.argmax())) and math.isfinite(pts.item(pts.argmin()))):
+        raise DomainError("support has non-finite coordinates")
 
 
 def check_exponent(p: float) -> None:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .base_space import ScalarField, base_field_from_config
-from .discrete_measure import DiscreteMeasure, validate_measure
+from .discrete_measure import DiscreteMeasure, check_exponent, validate_measure
 from .errors import (
     DimensionError,
     DomainError,
@@ -37,7 +37,6 @@ from .wgeom import (
     WassersteinRay,
     busemann_estimate,
     certified_distance,
-    displacement_path,
     shift_distance,
 )
 
@@ -48,6 +47,10 @@ class MeasureField:
     """Real function on the space of discrete measures, W_p-1-Lipschitz."""
 
     p: float
+
+    def __post_init__(self):
+        # every dataclass field runs this when built: W_p is no metric below p = 1
+        check_exponent(self.p)
 
     def evaluate(self, omega: DiscreteMeasure) -> float:
         raise NotImplementedError
@@ -194,7 +197,7 @@ def _column_potentials(C: np.ndarray, rows, cols) -> np.ndarray:
 
 
 class _DistancePoint(BasePoint):
-    """One solve of W_p(omega, target): the value, the geodesic and a dual floor.
+    """One solve of W_p(omega, target): the value, the geodesic along its plan and a dual floor.
 
     Let psi solve u_i + psi_j = C_ij on the positive cells of that solve's
     plan. For any x, phi_k = min_j (|x_k - y_j|^p - psi_j) makes (phi, psi)
@@ -206,7 +209,7 @@ class _DistancePoint(BasePoint):
 
     def __init__(self, field: DistanceToField, omega: DiscreteMeasure):
         super().__init__(field, omega)
-        res = wasserstein_exact(omega, field.target, field.p)
+        self.res = res = wasserstein_exact(omega, field.target, field.p)
         self.length = res.value
         self.value = res.value - field.offset
         psi = _column_potentials(_costs(omega.support, field.target.support, field.p),
@@ -216,7 +219,7 @@ class _DistancePoint(BasePoint):
 
     @cached_property
     def path(self) -> WassersteinPath:
-        return displacement_path(self.omega, self.field.target, self.field.p)
+        return WassersteinPath.from_result(self.res)
 
     def candidate(self, t):
         # the geodesic toward the target calibrates exactly, but only up to it;

@@ -53,6 +53,17 @@ numpy call on a few entries would cost more than the arithmetic. The plan
 arrays are built once, at the end; the simplex's sums over plan cells use
 `math.fsum`.
 
+Two shapes have a cost matrix of plan size, (n-1)(m-1) <= 1, and skip the
+tree. A Dirac side, (n-1)(m-1) = 0, admits only the product plan, which is
+optimal by construction; `dirac_value` reads its value for a Dirac given
+as a point, with no measure built. A 2x2 instance, (n-1)(m-1) = 1, builds
+the northwest staircase in plain Python by the tree's own rules (the same
+three cells, tie rule, potentials and flows re-solved children first) and
+prices its four cells there. When no reduced cost is below -`_ENTER_TOL`
+the staircase goes to the same certificate as a simplex plan and comes back
+bit for bit as the simplex returns it; a staircase that needs a pivot, or a
+cost that overflowed, takes the simplex.
+
 Solves are memoized: a module-level LRU of the last `MEMO_SIZE` distinct
 solves, keyed on the bytes of both measures and on p, serves a repeated
 (mu, nu, p) without solving it again. An entry keeps only the value, the
@@ -83,7 +94,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_measure import PRUNE_TOL, DiscreteMeasure, check_exponent
+from .discrete_measure import PRUNE_TOL, DiscreteMeasure, check_exponent, check_finite
 from .errors import (
     DimensionError,
     InstanceTooLarge,
@@ -189,17 +200,18 @@ class TransportResult:
         }
 
 
-def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> None:
-    if mu.dim != nu.dim:
-        raise DimensionError(f"measures live in R^{mu.dim} vs R^{nu.dim}")
+def _check_pair(mu_dim: int, nu_dim: int, p: float) -> None:
+    if mu_dim != nu_dim:
+        raise DimensionError(f"measures live in R^{mu_dim} vs R^{nu_dim}")
     check_exponent(p)
 
 
-def _distance_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    if mu.dim == 1:
-        D = np.abs(mu.support - nu.support.T)
+def _distance_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """|X_k - Y_j| for every pair of rows, zero below DIST_CLAMP."""
+    if X.shape[1] == 1:
+        D = np.abs(X - Y.T)
     else:
-        diff = mu.support[:, None, :] - nu.support[None, :, :]
+        diff = X[:, None, :] - Y[None, :, :]
         D = np.sqrt((diff * diff).sum(axis=2))
     D[D < DIST_CLAMP] = 0.0
     return D
@@ -207,6 +219,12 @@ def _distance_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
 
 def _cost_matrix(D: np.ndarray, p: float) -> np.ndarray:
     return D if p == 1.0 else D**p
+
+
+def _value(cost: float, p: float) -> float:
+    """W_p from a plan's cost of at least 0: its p-th root, zero below VALUE_CLAMP."""
+    value = cost if p == 1.0 else cost ** (1.0 / p)
+    return 0.0 if value < VALUE_CLAMP else value
 
 
 def _finish(mu, nu, p, rows, cols, masses, cost, solver, lower=None) -> TransportResult:
@@ -220,21 +238,41 @@ def _finish(mu, nu, p, rows, cols, masses, cost, solver, lower=None) -> Transpor
     _check_marginals(rows, cols, masses, mu.weights.tolist(), nu.weights.tolist())
     plan = Coupling(mu, nu, np.array(rows), np.array(cols), np.array(masses))
     cost = max(float(cost), 0.0)
-    value = cost if p == 1.0 else cost ** (1.0 / p)
-    if value < VALUE_CLAMP:
-        value = 0.0
     lower = cost if lower is None or lower > cost else lower
-    return TransportResult(value, cost, plan, solver, p, lower)
+    return TransportResult(_value(cost, p), cost, plan, solver, p, lower)
 
 
-def _product_plan(mu, nu, p, C, solver) -> TransportResult:
+def _product_cost(a, b, D, p) -> tuple[np.ndarray, float]:
+    """The masses and the cost of the product plan on distances D, mu's weights a, nu's b.
+
+    One side is a Dirac, so the plan moves the other side's weights, or b
+    when both are Diracs.
+    """
+    w, d = (b, D[0]) if D.shape[0] == 1 else (a, D[:, 0])
+    return w, float(np.dot(w, _cost_matrix(d, p)))
+
+
+def _product_plan(mu, nu, p, D, solver) -> TransportResult:
     """The product plan, the only coupling when either side is a Dirac."""
-    n, m = C.shape
-    if n == 1:
-        return _finish(mu, nu, p, [0] * m, list(range(m)), nu.weights.tolist(),
-                       float(np.dot(nu.weights, C[0])), solver)
-    return _finish(mu, nu, p, list(range(n)), [0] * n, mu.weights.tolist(),
-                   float(np.dot(mu.weights, C[:, 0])), solver)
+    n, m = D.shape
+    w, cost = _product_cost(mu.weights, nu.weights, D, p)
+    rows, cols = ([0] * m, list(range(m))) if n == 1 else (list(range(n)), [0] * n)
+    return _finish(mu, nu, p, rows, cols, w.tolist(), cost, solver)
+
+
+def dirac_value(mu: DiscreteMeasure, z: np.ndarray, b: np.ndarray, p: float) -> float:
+    """`wasserstein_exact(mu, nu, p).value` for the Dirac nu = b * delta_z, bit for bit.
+
+    z is a (1, d) row and b nu's weight array. The value is read off the
+    product plan by `_product_plan`'s rule, so nu is never built, nothing is
+    solved and the memo gets no entry. z is refused as `validate_measure`
+    refuses a support that is not finite, then the dimension and the
+    exponent as every route refuses them.
+    """
+    check_finite(z)
+    _check_pair(mu.dim, z.shape[1], p)
+    _, cost = _product_cost(mu.weights, b, _distance_matrix(mu.support, z), p)
+    return _value(max(cost, 0.0), p)
 
 
 def _dot(x, y) -> float:
@@ -437,15 +475,16 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0) 
     """Exact W_p distance with an optimal vertex plan.
 
     Dirac-vs-anything instances short-circuit to the unique product
-    coupling. Otherwise the flows are re-solved on the optimal basis from
-    the marginals, so the plan is exact for the problem as posed, and the
-    basis potentials must certify it optimal (`NumericalInconsistency` if not).
+    coupling, and a 2x2 staircase optimal as built skips the tree.
+    Otherwise the flows are re-solved on the optimal basis from the
+    marginals, so the plan is exact for the problem as posed, and the basis
+    potentials must certify it optimal (`NumericalInconsistency` if not).
 
     A repeat of one of the last `MEMO_SIZE` distinct solves is served from
     the memo: the result is built on the caller's own measures and shares
     the read-only plan arrays of the first solve.
     """
-    _check_pair(mu, nu, p)
+    _check_pair(mu.dim, nu.dim, p)
     key = (mu.cache_key(), nu.cache_key(), float(p))
     # pop and re-insert rather than get and move_to_end: no interleaving of
     # threads can then raise on an entry another thread just evicted
@@ -467,12 +506,15 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0) 
 
 def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportResult:
     n, m = mu.n_atoms, nu.n_atoms
-    D = _distance_matrix(mu, nu)
+    D = _distance_matrix(mu.support, nu.support)
+    if n == 1 or m == 1:
+        return _product_plan(mu, nu, p, D, "simplex")
     C = _cost_matrix(D, p)
 
-    if n == 1 or m == 1:
-        return _product_plan(mu, nu, p, C, "simplex")
-
+    if n == m == 2:
+        res = _two_by_two(mu, nu, p, C)
+        if res is not None:
+            return res
     if mu.dim == 1:
         # sorted supports make the northwest start optimal for the convex cost
         # |x-y|^p, so the line goes to the certificate unpriced; a positive
@@ -484,12 +526,50 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportResul
     return _certified_plan(mu, nu, p, C, True)
 
 
+def _two_by_two(mu, nu, p, C) -> TransportResult | None:
+    """`_certified_plan`'s result on a 2x2 instance whose staircase is optimal as built.
+
+    The cost matrix has one cell more than the plan, so the northwest
+    staircase, its potentials and its pricing run in plain Python, with the
+    arithmetic `_simplex_basis` does: the first cell closes row 0 when
+    a_0 <= b_0 (the tie rule), each new node's potential is C_ij less its
+    parent's, the flows are re-solved from the marginals children first, and
+    the reduced costs are (Cs_ij - u_i) - v_j. A staircase that needs a pivot,
+    or a cost that overflowed, returns None and takes the general route.
+    """
+    scale = C.item(C.argmax())
+    if not math.isfinite(scale):
+        return None
+    Cs = C / scale if scale > 0.0 else C
+    (c00, c01), (c10, c11) = Cs.tolist()
+    (a0, a1), (b0, b1) = mu.weights.tolist(), nu.weights.tolist()
+    v0 = c00  # c - 0.0 is c: row 0 is the root, u_0 = 0
+    if a0 <= b0:  # cells (0,0), (1,0), (1,1): row 1 hangs below column 0
+        u1 = c10 - v0
+        v1 = c11 - u1
+        rows, cols, f = [0, 1, 1], [0, 0, 1], a1 - b1
+        flow = [b0 - f, f, b1]
+    else:         # cells (0,0), (0,1), (1,1): row 1 hangs below column 1
+        v1 = c01
+        u1 = c11 - v1
+        rows, cols, f = [0, 0, 1], [0, 1, 1], b1 - a1
+        flow = [b0, f, a1]
+    slack = min(c00 - v0, c01 - v1, (c10 - u1) - v0, (c11 - u1) - v1)
+    if slack < -_ENTER_TOL:
+        return None
+    return _certified(mu, nu, p, C, Cs, scale, rows, cols, flow, [0.0, u1, v0, v1], slack)
+
+
 def _certified_plan(mu, nu, p, C, price: bool) -> TransportResult:
     """The simplex plan for the cost C, checked and certified on C scaled to unit maximum."""
-    a, b = mu.weights, nu.weights
     scale = C.item(C.argmax())
     Cs = C / scale if scale > 0.0 else C
-    rows, cols, flow, pot, slack = _simplex_basis(Cs, a, b, price)
+    return _certified(mu, nu, p, C, Cs, scale,
+                      *_simplex_basis(Cs, mu.weights, nu.weights, price))
+
+
+def _certified(mu, nu, p, C, Cs, scale, rows, cols, flow, pot, slack) -> TransportResult:
+    """The result on a basis plan, its flows checked and its potentials certifying it on Cs."""
     low = min(flow)
     if low < -1e-9:
         raise NumericalInconsistency(f"basis re-solve produced flow {low:.3e} < 0")
@@ -498,7 +578,7 @@ def _certified_plan(mu, nu, p, C, price: bool) -> TransportResult:
     flow = [f if f >= PRUNE_TOL else 0.0 for f in flow]
     lower = 0.0
     if math.isfinite(scale):  # an overflowed |x-y|^p has no certificate to check
-        lower = _certify(Cs, a, b, pot, rows, cols, flow, slack) * scale
+        lower = _certify(Cs, mu.weights, nu.weights, pot, rows, cols, flow, slack) * scale
     cost = _dot(flow, [C.item(i, j) for i, j in zip(rows, cols)])
     return _finish(mu, nu, p, rows, cols, flow, cost, "simplex", lower)
 
@@ -537,7 +617,7 @@ def wasserstein_1d_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2
     Independent of the simplex: the plan is read straight off the merged
     quantile grid of the two weight vectors (supports are stored sorted).
     """
-    _check_pair(mu, nu, p)
+    _check_pair(mu.dim, nu.dim, p)
     if mu.dim != 1:
         raise DimensionError(f"the quantile oracle needs d=1, got d={mu.dim}")
     x = mu.support[:, 0]
@@ -624,13 +704,12 @@ def brute_force_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0)
     vertices), Dirac on either side (unique product plan), or total support
     n + m <= 10 (all spanning-tree vertices).
     """
-    _check_pair(mu, nu, p)
+    _check_pair(mu.dim, nu.dim, p)
     n, m = mu.n_atoms, nu.n_atoms
-    D = _distance_matrix(mu, nu)
-    C = _cost_matrix(D, p)
-
+    D = _distance_matrix(mu.support, nu.support)
     if n == 1 or m == 1:
-        return _product_plan(mu, nu, p, C, "bruteforce")
+        return _product_plan(mu, nu, p, D, "bruteforce")
+    C = _cost_matrix(D, p)
 
     if n == m and n <= MAX_PERMUTATION_SIZE and _is_uniform(mu.weights) and _is_uniform(nu.weights):
         cost, perm = _best_permutation(C, mu.weights)

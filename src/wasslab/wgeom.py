@@ -23,7 +23,7 @@ from .errors import (
     SequenceTooClose,
     SphereSamplingFailed,
 )
-from .ot_exact import VALUE_CLAMP, wasserstein_exact
+from .ot_exact import VALUE_CLAMP, TransportResult, dirac_value, wasserstein_exact
 
 _T_EDGE_TOL = 1e-12
 _MONOTONE_TOL = 1e-9
@@ -135,6 +135,24 @@ class WassersteinPath:
     nonunique: bool
     length_lower: float       # the solver's certified lower bound on `length`
 
+    @classmethod
+    def from_result(cls, res: TransportResult) -> WassersteinPath:
+        """The geodesic along a solve's optimal plan, from its source to its target."""
+        plan = res.plan
+        mu, nu = plan.source, plan.target
+        return cls(
+            source=mu,
+            target=nu,
+            p=res.p,
+            pair_sources=mu.support[plan.rows],
+            pair_targets=nu.support[plan.cols],
+            masses=plan.masses.copy(),
+            length=res.value,
+            degenerate=(res.value == 0.0),
+            nonunique=(res.p == 1.0),
+            length_lower=res.lower,
+        )
+
     def eval(self, t: float) -> DiscreteMeasure:
         return self.cut(t)[0]
 
@@ -167,20 +185,7 @@ def displacement_path(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0,
                       check: bool = False) -> WassersteinPath:
     """Geodesic between mu and nu built from an exact optimal coupling."""
     check_exponent(p)
-    res = wasserstein_exact(mu, nu, p)
-    plan = res.plan
-    path = WassersteinPath(
-        source=mu,
-        target=nu,
-        p=p,
-        pair_sources=mu.support[plan.rows],
-        pair_targets=nu.support[plan.cols],
-        masses=plan.masses.copy(),
-        length=res.value,
-        degenerate=(res.value == 0.0),
-        nonunique=(p == 1.0),
-        length_lower=res.lower,
-    )
+    path = WassersteinPath.from_result(wasserstein_exact(mu, nu, p))
     if check and not path.degenerate:
         for t, other in ((0.0, mu), (path.length, nu)):
             gap = wasserstein_exact(path.eval(t), other, p).value
@@ -214,6 +219,7 @@ class WassersteinRay:
     p: float = 2.0
 
     def __post_init__(self):
+        check_exponent(self.p)
         n, d = self.base.n_atoms, self.base.dim
         for name in ("origins", "directions"):
             rows = np.array(getattr(self, name), dtype=float)
@@ -298,7 +304,9 @@ def busemann_estimate(ray: WassersteinRay, omega: DiscreteMeasure,
     Samples g(t) = W_p(omega, ray(t)) - t on 1, 2, 4, ... (ending exactly at
     t_max when the doubling grid undershoots it) until the increment drops
     below tol or the cap is reached. A monotonicity breach beyond 1e-9 means
-    a solver defect and raises.
+    a solver defect and raises. On a ray of one atom each sample is read off
+    the product plan, the only coupling with a Dirac, with no measure built
+    and no solve; the value is the one `wasserstein_exact` returns.
     """
     if not tol > 0.0:  # nan fails it too, and the t_max check
         raise DomainError(f"tolerance {tol} must be positive")
@@ -308,8 +316,14 @@ def busemann_estimate(ray: WassersteinRay, omega: DiscreteMeasure,
     prev = None
     converged = False
     gap = math.inf
+    if ray.base.n_atoms == 1:
+        def distance(t):
+            return dirac_value(omega, ray.rows(t), ray.base.weights, ray.p)
+    else:
+        def distance(t):
+            return wasserstein_exact(omega, ray.eval(t), ray.p).value
     for t in _doubling_schedule(t_max):
-        g = wasserstein_exact(omega, ray.eval(t), ray.p).value - t
+        g = distance(t) - t
         samples.append((t, g))
         if prev is not None:
             if g > prev + _MONOTONE_TOL:

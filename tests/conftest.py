@@ -12,15 +12,15 @@ def empty_solve_memo():
 
 
 @pytest.fixture
-def basis_calls(monkeypatch) -> list:
-    """Shapes of the cost matrices `ot_exact._simplex_basis` is called on."""
+def solve_calls(monkeypatch) -> list:
+    """The (mu, nu) pairs `ot_exact._solve` is called on: the solves the memo did not serve."""
     calls = []
-    basis = ot_exact._simplex_basis
+    solve = ot_exact._solve
 
-    def counted(C, a, b, price):
-        calls.append(C.shape)
-        return basis(C, a, b, price)
-    monkeypatch.setattr(ot_exact, "_simplex_basis", counted)
+    def counted(mu, nu, p):
+        calls.append((mu, nu))
+        return solve(mu, nu, p)
+    monkeypatch.setattr(ot_exact, "_solve", counted)
     return calls
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wasslab import ot_exact
@@ -389,7 +389,7 @@ def _planar_instance(draw):
             draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
         return validate_measure(np.array(x, dtype=float), w / w.sum())
     mu, nu = measure(draw(st.integers(2, 12))), measure(draw(st.integers(2, 12)))
-    C = ot_exact._cost_matrix(ot_exact._distance_matrix(mu, nu), p)
+    C = ot_exact._cost_matrix(ot_exact._distance_matrix(mu.support, nu.support), p)
     return C / C.max(), mu.weights, nu.weights
 
 
@@ -429,6 +429,75 @@ def test_every_route_is_certified(monkeypatch):
         with pytest.raises(NumericalInconsistency, match="refused"):
             wasserstein_exact(mu, nu, 2.0)
     assert not ot_exact._memo
+
+
+def _general_route(mu, nu, p, C):
+    """A solve by the simplex alone: the line's unpriced staircase first, as `_solve` takes it."""
+    if mu.dim == 1:
+        try:
+            return ot_exact._certified_plan(mu, nu, p, C, False)
+        except NumericalInconsistency:
+            pass
+    return ot_exact._certified_plan(mu, nu, p, C, True)
+
+
+@st.composite
+def _two_by_two_instance(draw):
+    """Two 2-atom measures, some atoms of nu within DIST_CLAMP of an atom of mu.
+
+    Supports are drawn in sorted order, so the drawn weights stay in place:
+    tied weights meet the staircase's tie a_0 = b_0.
+    """
+    dim = draw(st.sampled_from([1, 2, 3]))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["random", "uniform", "tied"]))
+
+    def weights():
+        x = 0.5 if kind == "uniform" else draw(st.floats(0.05, 0.95))
+        return np.array([x, 1.0 - x])
+
+    def support():
+        pts = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * dim,
+                                             max_size=2 * dim))).reshape(2, dim)
+        return pts[np.lexsort(pts.T[::-1])]
+    x, y = support(), support()
+    if draw(st.booleans()):
+        y[0] = x[draw(st.integers(0, 1))] + 4e-13 * draw(st.sampled_from([-1.0, 1.0]))
+        y = y[np.lexsort(y.T[::-1])]
+    a = weights()
+    b = a if kind == "tied" else weights()
+    return validate_measure(x, a), validate_measure(y, b), p
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_two_by_two_instance())
+def test_two_by_two_route_is_the_simplex_bit_for_bit(instance):
+    mu, nu, p = instance
+    assume(mu.n_atoms == nu.n_atoms == 2)
+    C = ot_exact._cost_matrix(ot_exact._distance_matrix(mu.support, nu.support), p)
+    expected = _general_route(mu, nu, p, C)
+    bases = []
+    basis = ot_exact._simplex_basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ot_exact, "_simplex_basis", lambda *args: bases.append(args) or basis(*args))
+        res = ot_exact._solve(mu, nu, p)
+    # a staircase that needs a pivot takes the simplex; one optimal as built never does
+    assert bool(bases) == (ot_exact._two_by_two(mu, nu, p, C) is None)
+    assert [repr(x) for x in (res.value, res.cost, res.cost_lower)] == [
+        repr(x) for x in (expected.value, expected.cost, expected.cost_lower)]
+    for name in ("rows", "cols", "masses"):
+        got, want = getattr(res.plan, name), getattr(expected.plan, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_two_by_two_instances_take_both_routes():
+    line = TWO_BY_TWO
+    crossed = (validate_measure([[0.0, 0.0], [1.0, 5.0]], [0.5, 0.5]),
+               validate_measure([[0.0, 5.0], [1.0, 0.0]], [0.5, 0.5]))
+    for (mu, nu), as_built in ((line, True), (crossed, False)):
+        C = ot_exact._cost_matrix(ot_exact._distance_matrix(mu.support, nu.support), 2.0)
+        assert (ot_exact._two_by_two(mu, nu, 2.0, C) is not None) == as_built
 
 
 def test_line_prices_when_the_clamp_breaks_the_monotone_order():
@@ -520,13 +589,13 @@ def test_certificate_rejects_a_non_optimal_basis(monkeypatch):
         wasserstein_exact(mu, nu, 1.0)
 
 
-def test_memo_serves_a_repeat_on_the_callers_measures(basis_calls):
+def test_memo_serves_a_repeat_on_the_callers_measures(solve_calls):
     mu, nu = TWO_BY_TWO
     first = wasserstein_exact(mu, nu, 2.0)
-    assert len(basis_calls) == 1
+    assert len(solve_calls) == 1
     twin = validate_measure(mu.support.copy(), mu.weights.copy())
     again = wasserstein_exact(twin, nu, 2)
-    assert len(basis_calls) == 1
+    assert len(solve_calls) == 1
     assert (again.value, again.cost, again.solver) == (first.value, first.cost, first.solver)
     assert again.plan.plan_list() == first.plan.plan_list()
     assert again.plan.masses is first.plan.masses
@@ -534,7 +603,7 @@ def test_memo_serves_a_repeat_on_the_callers_measures(basis_calls):
     assert again.p == 2
     wasserstein_exact(mu, nu, 3.0)
     wasserstein_exact(nu, mu, 2.0)
-    assert len(basis_calls) == 3
+    assert len(solve_calls) == 3
 
 
 def test_memo_plan_arrays_are_read_only():
@@ -546,34 +615,48 @@ def test_memo_plan_arrays_are_read_only():
                 arr[0] = 0
 
 
-def test_memo_holds_the_last_2048_solves(basis_calls):
+def test_memo_holds_the_last_2048_solves(solve_calls):
     nu = validate_measure([[0.0], [1.0]], [0.5, 0.5])
     mus = [validate_measure([[k], [k + 0.5]], [0.5, 0.5])
            for k in range(ot_exact.MEMO_SIZE + 1)]
     for mu in mus:
         wasserstein_exact(mu, nu, 2.0)
     assert len(ot_exact._memo) == ot_exact.MEMO_SIZE == 2048
-    assert len(basis_calls) == 2049
+    assert len(solve_calls) == 2049
     wasserstein_exact(mus[-1], nu, 2.0)
-    assert len(basis_calls) == 2049
+    assert len(solve_calls) == 2049
     wasserstein_exact(mus[0], nu, 2.0)
-    assert len(basis_calls) == 2050
+    assert len(solve_calls) == 2050
     assert len(ot_exact._memo) == 2048
 
 
 def test_memo_never_stores_a_raise(monkeypatch):
-    mu, nu = TWO_BY_TWO
+    mu = validate_measure([[0.0], [2.0]], [0.5, 0.5])
+    nu = validate_measure([[1.0], [3.0], [5.0]], [0.25, 0.25, 0.5])
     for _ in range(2):
         with pytest.raises(DomainError):
             wasserstein_exact(mu, nu, 0.5)
     assert not ot_exact._memo
+    basis = ot_exact._simplex_basis
 
     def non_optimal_tree(C, a, b, price):  # unpriced, so the certificate prices it
-        return (*(x.tolist() for x in northwest_2x2()), [0.0] * (C.shape[0] + C.shape[1]), None)
+        rows, cols, flow, pot, _ = basis(C, a, b, price)
+        return rows, cols, flow, [0.0] * len(pot), None
     monkeypatch.setattr(ot_exact, "_simplex_basis", non_optimal_tree)
     for _ in range(2):
         with pytest.raises(NumericalInconsistency, match="certificate"):
             wasserstein_exact(mu, nu, 2.0)
+    assert not ot_exact._memo
+
+
+def test_memo_never_stores_a_refused_two_by_two(monkeypatch):
+    # a 2x2 staircase that is optimal as built never reaches _simplex_basis, only _certify
+    def refuse(*args):
+        raise NumericalInconsistency("certificate refused")
+    monkeypatch.setattr(ot_exact, "_certify", refuse)
+    for _ in range(2):
+        with pytest.raises(NumericalInconsistency, match="refused"):
+            wasserstein_exact(*TWO_BY_TWO, 2.0)
     assert not ot_exact._memo
 
 

@@ -317,6 +317,8 @@ def _malformed_inputs(tmp_path):
         "levels-empty": dict(unit_slope, levels=[]),
         # whole-number entries are not truncated
         "budget-fractional": dict(unit_slope, budget=8.7),
+        # W_p is no metric below p = 1, so the field is refused when it is built
+        "field-p-half": dict(unit_slope, field=dict(unit_slope["field"], p=0.5)),
     }
     configs = {**wrong_leaves, **out_of_domain}
     for name, cfg in configs.items():
@@ -386,7 +388,7 @@ def _malformed_inputs(tmp_path):
     "geodesic-frac-nan", "geodesic-t-nan-degenerate", "reproduce-ex3-p3",
     "acceptance-no-match", "busemann-t_max-nan", "busemann-tol-nan",
     "descend-epsilon-nan", "descend-step_length-nan", "check-viscosity-radii-nan",
-    "check-viscosity-dim-mismatch", "descend-dim-mismatch",
+    "check-viscosity-dim-mismatch", "descend-dim-mismatch", "check-viscosity-field-p-half",
 ])
 def test_cli_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert main(_malformed_inputs(tmp_path)[case]) == 2

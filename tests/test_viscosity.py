@@ -266,9 +266,9 @@ def test_dlg_stops_at_the_analytic_witness(solves):
     levels = (value - 1.0, value - 3.0)  # both reached inside the geodesic to the target
     solves.clear()
     assert dlg_test(D, omega, levels, rng=rng).verdict == "PASS"
-    # U(omega), then the geodesic's lookup of that solve, made once for every level;
-    # its cuts give each point's distance and value
-    assert len(solves) == 2
+    # U(omega), whose plan the geodesic of every level runs along; its cuts give
+    # each point's distance and value
+    assert len(solves) == 1
     assert rng.bit_generator.state == state
 
 
@@ -553,17 +553,28 @@ def test_inf_of_lifted_passes_sphere_at_many_points():
         assert res.verdict == "PASS"
 
 
-def test_busemann_field_memoizes(basis_calls):
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+def test_fields_and_rays_refuse_a_bad_exponent_when_built(p):
+    # W_p is no metric below p = 1: a lifted field built at p = 0.5 once passed dlg_test
+    builds = (lambda: lift(BusemannField(E1), p), lambda: ConstantField(0.0, p),
+              lambda: DistanceToField(dirac([1.0, 0.0]), 0.0, p),
+              lambda: dirac_ray([0.0, 0.0], E1, p))
+    for build in builds:
+        with pytest.raises(DomainError, match="exponent"):
+            build()
+
+
+def test_busemann_field_memoizes(solve_calls):
     # the field keeps no cache of its own: the solve memo serves the repeat
     start = validate_measure([[0.0, 0.0], [0.0, 2.0]], [0.5, 0.5])
     field = RayBusemannField(lifted_ray(lift(BusemannField(E1), 2.0), start),
                              tol=1e-6, t_max=256.0)
     omega = validate_measure([[1.0, 1.0], [3.0, -1.0]], [0.25, 0.75])
     a = field.evaluate(omega)
-    solves = len(basis_calls)
+    solves = len(solve_calls)
     assert solves > 0
     assert field.evaluate(omega) == a
-    assert len(basis_calls) == solves
+    assert len(solve_calls) == solves
 
 
 def test_measure_field_from_config():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,60 @@ def test_busemann_trace_monotone_and_errors():
     for t_max in (math.nan, math.inf):
         with pytest.raises(DomainError, match="must be finite"):
             busemann_estimate(ray, omega, t_max=t_max)
+
+
+def _solved_sample(mu, z, b, p):
+    """W_p(mu, b * delta_z) by building the Dirac and solving: the route of a multi-atom ray."""
+    return wasserstein_exact(mu, validate_measure(z, b), p).value
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 3), st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]),
+       st.floats(-3.0, 3.0), st.sampled_from([1e-3, 1e-9]), st.integers(0, 2**32 - 1))
+def test_dirac_ray_samples_are_the_solved_values(n, dim, p, log_scale, tol, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    omega = random_measure(rng, n, dim, box=scale, min_atoms=n)
+    u = rng.normal(size=dim)
+    ray = dirac_ray(rng.uniform(-scale, scale, dim), u / np.sqrt(u.dot(u)), p)
+    ot_exact._memo.clear()  # the fixture empties it once per test, not per example
+    est = busemann_estimate(ray, omega, tol=tol, t_max=1e4)
+    assert not ot_exact._memo  # no sample was solved
+    for t, g in est.samples:
+        assert g == wasserstein_exact(omega, ray.eval(t), p).value - t
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wgeom, "dirac_value", _solved_sample)
+        solved = busemann_estimate(ray, omega, tol=tol, t_max=1e4)
+    assert (est.samples, est.converged, est.tail_gap, est.value, est.truncation) == (
+        solved.samples, solved.converged, solved.tail_gap, solved.value, solved.truncation)
+
+
+def test_dirac_ray_samples_raise_what_a_solve_raises():
+    planar = validate_measure([[0.0, 1.0], [2.0, -1.0]], [0.5, 0.5])
+    cases = (
+        (DimensionError, dirac_ray([0.0], [1.0], 2.0), planar),
+        (DomainError, WassersteinRay(dirac([0.0]), np.array([[math.inf]]), np.array([[1.0]]), 2.0),
+         dirac([1.0])),
+    )
+    for error, ray, omega in cases:
+        messages = []
+        for route in (wgeom.dirac_value, _solved_sample):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(wgeom, "dirac_value", route)
+                with pytest.raises(error) as info:
+                    busemann_estimate(ray, omega)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+def test_dirac_ray_stops_before_its_later_samples():
+    # g(t) = W_64(delta_{-1}, delta_t) - t = 1 from t = 1 on, so the estimate stops at
+    # t = 2; a sample at t = 2**19 would overflow |x - z|**64 and warn
+    ray = dirac_ray([0.0], [1.0], 64.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = busemann_estimate(ray, dirac([-1.0]), tol=1e-6, t_max=1e6)
+    assert est.converged and est.truncation == 2.0
 
 
 def test_sphere_sample_dirac_translation():
