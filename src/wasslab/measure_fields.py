@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedField,
     json_numbers,
 )
-from .ot_exact import wasserstein_exact
+from .ot_exact import dual_floor, wasserstein_exact
 from .wgeom import (
     WassersteinPath,
     WassersteinRay,
@@ -75,8 +75,9 @@ class BasePoint:
     is the analytic point x at arc length t with exact value drop t, if
     known: (x, certified W_p(omega, x), U(x)), each taken from x's
     construction where that pins it down, else solved. `floor(x)` is a
-    proven lower bound on U(x), or None; `lower(x, d)` is what a verdict
-    reads. Fields refine `candidate` and `floor` in their own subclasses.
+    proven lower bound on U(x), -inf where nothing is proven; `lower(x, d)`
+    is what a verdict reads. Fields refine `candidate` and `floor` in their
+    own subclasses.
     """
 
     def __init__(self, field: MeasureField, omega: DiscreteMeasure):
@@ -89,8 +90,8 @@ class BasePoint:
     def candidate(self, t: float) -> tuple[DiscreteMeasure, float, float] | None:
         return None
 
-    def floor(self, x: DiscreteMeasure) -> float | None:
-        return None
+    def floor(self, x: DiscreteMeasure) -> float:
+        return -math.inf
 
     def lower(self, x: DiscreteMeasure, d: float) -> float:
         """A lower bound on the float U.evaluate(x) for x at distance d; -inf without a floor.
@@ -98,10 +99,7 @@ class BasePoint:
         The floor is lowered by FLOOR_TOL * max(1, |U(omega)|, d), which
         covers the round-off of the floor and of the solved value.
         """
-        floor = self.floor(x)
-        if floor is None:
-            return -math.inf
-        return floor - FLOOR_TOL * max(1.0, abs(self.value), d)
+        return self.floor(x) - FLOOR_TOL * max(1.0, abs(self.value), d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,47 +162,11 @@ class DistanceToField(MeasureField):
         return _DistancePoint(self, omega)
 
 
-def _costs(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
-    """|X_k - Y_j|^p for every pair of rows."""
-    diff = X[:, None, :] - Y[None, :, :]
-    D = np.sqrt((diff * diff).sum(axis=2))
-    return D if p == 1.0 else D**p
-
-
-def _column_potentials(C: np.ndarray, rows, cols) -> np.ndarray:
-    """psi with u_i + psi_j = C_ij on the cells (rows, cols), a forest on C's rows and columns.
-
-    Each component's potentials are fixed from a root column set to 0.
-    """
-    n, m = C.shape
-    adj: list[list[int]] = [[] for _ in range(n + m)]  # rows 0..n-1, columns n..n+m-1
-    for i, j in zip(rows, cols):
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-    pot: list = [None] * (n + m)
-    for root in range(n, n + m):
-        if pot[root] is not None:
-            continue
-        pot[root] = 0.0
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if pot[b] is None:
-                    pot[b] = (C.item(a, b - n) if a < n else C.item(b, a - n)) - pot[a]
-                    stack.append(b)
-    return np.array(pot[n:])
-
-
 class _DistancePoint(BasePoint):
     """One solve of W_p(omega, target): the value, the geodesic along its plan and a dual floor.
 
-    Let psi solve u_i + psi_j = C_ij on the positive cells of that solve's
-    plan. For any x, phi_k = min_j (|x_k - y_j|^p - psi_j) makes (phi, psi)
-    dual feasible, so W_p^p(x, target) >= sum_k w_k phi_k + sum_j b_j psi_j
-    by weak duality, whatever psi is. At x = omega the bound is the solved
-    cost when the plan's cells span one tree; a degenerate plan only loosens
-    it, and a Dirac target makes it exact. An overflowed cost proves nothing.
+    The floor is `dual_floor` on that solve's certified potentials `psi`,
+    a weak-duality bound at every x and the solved value at x = omega.
     """
 
     def __init__(self, field: DistanceToField, omega: DiscreteMeasure):
@@ -212,10 +174,6 @@ class _DistancePoint(BasePoint):
         self.res = res = wasserstein_exact(omega, field.target, field.p)
         self.length = res.value
         self.value = res.value - field.offset
-        psi = _column_potentials(_costs(omega.support, field.target.support, field.p),
-                                 res.plan.rows.tolist(), res.plan.cols.tolist())
-        self.psi = psi if np.isfinite(psi).all() else None
-        self.b_psi = None if self.psi is None else (field.target.weights * psi).tolist()
 
     @cached_property
     def path(self) -> WassersteinPath:
@@ -232,15 +190,8 @@ class _DistancePoint(BasePoint):
                 certified_distance(x, U.target, U.p, *far) - U.offset)
 
     def floor(self, x):
-        if self.psi is None:
-            return None
         U = self.field
-        phi = (_costs(x.support, U.target.support, U.p) - self.psi).min(axis=1)
-        cost = math.fsum((x.weights * phi).tolist() + self.b_psi)
-        if not math.isfinite(cost):
-            return None
-        cost = max(cost, 0.0)
-        return (cost if U.p == 1.0 else cost ** (1.0 / U.p)) - U.offset
+        return dual_floor(x, U.target, self.res.psi, U.p) - U.offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,8 +263,7 @@ class _InfPoint(BasePoint):
         return x, cert, min([value] + others)
 
     def floor(self, x):
-        floors = [m.floor(x) for m in self.members]
-        return None if None in floors else min(floors)
+        return min([m.floor(x) for m in self.members])
 
 
 @dataclass(frozen=True, eq=False)

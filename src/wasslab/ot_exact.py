@@ -39,7 +39,9 @@ both on the unit-scaled cost matrix. A failed certificate raises
 `NumericalInconsistency`. The bound the potentials prove, a.u + b.v plus
 the dual slack where it is negative, is rescaled and returned as the
 result's `cost_lower`; a product plan, the only coupling of a Dirac, is its
-own bound.
+own bound. The target-side potentials v, rescaled to the cost, come back
+as the result's `psi`, from which `dual_floor` bounds W_p(x, target) from
+below for any x, exactly at x = mu.
 
 Numpy does the work on the whole matrix: the distance and cost matrices
 and their scaling, and pricing. The last pricing of a solve already priced
@@ -67,8 +69,9 @@ cost that overflowed, takes the simplex.
 Solves are memoized: a module-level LRU of the last `MEMO_SIZE` distinct
 solves, keyed on the bytes of both measures and on p, serves a repeated
 (mu, nu, p) without solving it again. An entry keeps only the value, the
-cost, its lower bound and the plan arrays, which are made read-only and
-shared by every result built from it; a solve that raises is never stored.
+cost, its lower bound, `psi` and the plan arrays, which are made read-only
+and shared by every result built from it; a solve that raises is never
+stored.
 
 Two independent routes check the simplex: `wasserstein_1d_oracle` builds
 the monotone quantile coupling on the line, which is optimal for every
@@ -171,7 +174,7 @@ def _check_marginals(rows, cols, masses, a, b) -> None:
 
 @dataclass(frozen=True, eq=False, init=False)
 class TransportResult:
-    """Optimal transport value with its certifying plan."""
+    """Optimal transport value with its certifying plan and the simplex's potentials `psi`."""
 
     value: float   # W_p, equals cost ** (1/p)
     cost: float    # optimal integral of |x-y|^p
@@ -179,11 +182,12 @@ class TransportResult:
     solver: str    # "simplex" | "quantile1d" | "bruteforce"
     p: float
     cost_lower: float = 0.0  # certified lower bound on the optimal cost, at most `cost`
+    psi: tuple | None = None  # certified target-side potentials on the cost scale; None: oracle
 
-    def __init__(self, value, cost, plan, solver, p, cost_lower=0.0):
+    def __init__(self, value, cost, plan, solver, p, cost_lower=0.0, psi=None):
         d = self.__dict__
-        d["value"], d["cost"], d["plan"], d["solver"], d["p"], d["cost_lower"] = (
-            value, cost, plan, solver, p, cost_lower)
+        d["value"], d["cost"], d["plan"], d["solver"], d["p"], d["cost_lower"], d["psi"] = (
+            value, cost, plan, solver, p, cost_lower, psi)
 
     @property
     def lower(self) -> float:
@@ -227,7 +231,7 @@ def _value(cost: float, p: float) -> float:
     return 0.0 if value < VALUE_CLAMP else value
 
 
-def _finish(mu, nu, p, rows, cols, masses, cost, solver, lower=None) -> TransportResult:
+def _finish(mu, nu, p, rows, cols, masses, cost, solver, lower=None, psi=None) -> TransportResult:
     """The result on the plan's cells with positive mass; rows, cols, masses are lists.
 
     `lower` bounds the optimal cost from below; None means the plan is
@@ -239,25 +243,31 @@ def _finish(mu, nu, p, rows, cols, masses, cost, solver, lower=None) -> Transpor
     plan = Coupling(mu, nu, np.array(rows), np.array(cols), np.array(masses))
     cost = max(float(cost), 0.0)
     lower = cost if lower is None or lower > cost else lower
-    return TransportResult(_value(cost, p), cost, plan, solver, p, lower)
+    return TransportResult(_value(cost, p), cost, plan, solver, p, lower, psi)
 
 
-def _product_cost(a, b, D, p) -> tuple[np.ndarray, float]:
-    """The masses and the cost of the product plan on distances D, mu's weights a, nu's b.
+def _product_cost(a, b, D, p) -> tuple[np.ndarray, np.ndarray, float]:
+    """The masses, cell costs and cost of the product plan on distances D, weights a and b.
 
     One side is a Dirac, so the plan moves the other side's weights, or b
     when both are Diracs.
     """
     w, d = (b, D[0]) if D.shape[0] == 1 else (a, D[:, 0])
-    return w, float(np.dot(w, _cost_matrix(d, p)))
+    c = _cost_matrix(d, p)
+    return w, c, float(np.dot(w, c))
 
 
 def _product_plan(mu, nu, p, D, solver) -> TransportResult:
-    """The product plan, the only coupling when either side is a Dirac."""
+    """The product plan, the only coupling when either side is a Dirac.
+
+    Its potentials set u = 0 on a Dirac source, so psi is that source's cell
+    costs; a Dirac target takes psi = 0. The oracle's copy carries none.
+    """
     n, m = D.shape
-    w, cost = _product_cost(mu.weights, nu.weights, D, p)
+    w, c, cost = _product_cost(mu.weights, nu.weights, D, p)
     rows, cols = ([0] * m, list(range(m))) if n == 1 else (list(range(n)), [0] * n)
-    return _finish(mu, nu, p, rows, cols, w.tolist(), cost, solver)
+    psi = (tuple(c.tolist()) if n == 1 else (0.0,)) if solver == "simplex" else None
+    return _finish(mu, nu, p, rows, cols, w.tolist(), cost, solver, None, psi)
 
 
 def dirac_value(mu: DiscreteMeasure, z: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -271,8 +281,22 @@ def dirac_value(mu: DiscreteMeasure, z: np.ndarray, b: np.ndarray, p: float) -> 
     """
     check_finite(z)
     _check_pair(mu.dim, z.shape[1], p)
-    _, cost = _product_cost(mu.weights, b, _distance_matrix(mu.support, z), p)
+    cost = _product_cost(mu.weights, b, _distance_matrix(mu.support, z), p)[2]
     return _value(max(cost, 0.0), p)
+
+
+def dual_floor(x: DiscreteMeasure, nu: DiscreteMeasure, psi, p: float) -> float:
+    """A lower bound on W_p(x, nu) from any target-side potentials psi; -inf if not finite.
+
+    phi_k = min_j (C_kj - psi_j) makes (phi, psi) dual feasible whatever psi
+    is, so every coupling costs at least sum_k w_k phi_k + sum_j b_j psi_j
+    (weak duality; Villani 2009, Thm 5.10). With the `psi` of a solve from
+    mu to nu it is that solve's value at x = mu, up to round-off.
+    """
+    P = np.array(psi)
+    phi = (_cost_matrix(_distance_matrix(x.support, nu.support), p) - P).min(axis=1)
+    cost = math.fsum((x.weights * phi).tolist() + (nu.weights * P).tolist())
+    return _value(max(cost, 0.0), p) if math.isfinite(cost) else -math.inf
 
 
 def _dot(x, y) -> float:
@@ -467,7 +491,7 @@ def _certify(Cs, a, b, pot, rows, cols, flow, slack) -> float:
     return dual + slack if slack < 0.0 else dual
 
 
-# (mu key, nu key, p) -> (value, cost, cost_lower, rows, cols, masses)
+# (mu key, nu key, p) -> (value, cost, cost_lower, psi, rows, cols, masses)
 _memo: OrderedDict = OrderedDict()
 
 
@@ -491,14 +515,15 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0) 
     entry = _memo.pop(key, None)
     if entry is not None:
         _memo[key] = entry
-        value, cost, lower, rows, cols, masses = entry
+        value, cost, lower, psi, rows, cols, masses = entry
         return TransportResult(value, cost, Coupling(mu, nu, rows, cols, masses), "simplex", p,
-                               lower)
+                               lower, psi)
     res = _solve(mu, nu, p)
     plan = res.plan
     for arr in (plan.rows, plan.cols, plan.masses):
         arr.setflags(write=False)
-    _memo[key] = (res.value, res.cost, res.cost_lower, plan.rows, plan.cols, plan.masses)
+    _memo[key] = (res.value, res.cost, res.cost_lower, res.psi, plan.rows, plan.cols,
+                  plan.masses)
     if len(_memo) > MEMO_SIZE:
         _memo.popitem(last=False)
     return res
@@ -569,18 +594,24 @@ def _certified_plan(mu, nu, p, C, price: bool) -> TransportResult:
 
 
 def _certified(mu, nu, p, C, Cs, scale, rows, cols, flow, pot, slack) -> TransportResult:
-    """The result on a basis plan, its flows checked and its potentials certifying it on Cs."""
+    """The result on a basis plan, its flows checked and its potentials certifying it on Cs.
+
+    The target-side potentials pot[n:], rescaled to C, come back as `psi`;
+    an overflowed scale proves nothing, and its psi is zeros.
+    """
     low = min(flow)
     if low < -1e-9:
         raise NumericalInconsistency(f"basis re-solve produced flow {low:.3e} < 0")
     # masses below the weight resolution of a measure are round-off, such as a
     # last-bit mismatch of the two weight totals carried along the tree
     flow = [f if f >= PRUNE_TOL else 0.0 for f in flow]
-    lower = 0.0
+    n, m = Cs.shape
+    lower, psi = 0.0, (0.0,) * m
     if math.isfinite(scale):  # an overflowed |x-y|^p has no certificate to check
         lower = _certify(Cs, mu.weights, nu.weights, pot, rows, cols, flow, slack) * scale
+        psi = tuple([v * scale for v in pot[n:]])
     cost = _dot(flow, [C.item(i, j) for i, j in zip(rows, cols)])
-    return _finish(mu, nu, p, rows, cols, flow, cost, "simplex", lower)
+    return _finish(mu, nu, p, rows, cols, flow, cost, "simplex", lower, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_space import UNIT_TOL, BaseRay, check_ray_time
-from .discrete_measure import DiscreteMeasure, MeasureSetSequence, check_exponent, validate_measure
+from .discrete_measure import (
+    DiscreteMeasure,
+    MeasureSetSequence,
+    check_exponent,
+    check_finite,
+    validate_measure,
+)
 from .errors import (
     DimensionError,
     DomainError,
@@ -229,6 +235,7 @@ class WassersteinRay:
                 raise DimensionError(f"ray dim {rows.shape[1]} vs measure dim {d}")
             rows.setflags(write=False)
             object.__setattr__(self, name, rows)
+        check_finite(self.origins)  # as a support is refused, not at the first time evaluated
         speeds = np.sqrt((self.directions * self.directions).sum(axis=1))
         if not (np.abs(speeds - 1.0) <= UNIT_TOL).all():  # nan fails it too
             raise InvalidRay(f"per-atom rays must be unit speed, got {speeds.tolist()}")

@@ -11,6 +11,7 @@ from wasslab.discrete_measure import dirac, random_measure, validate_measure
 from wasslab.errors import DimensionError, DomainError, InstanceTooLarge, NumericalInconsistency
 from wasslab.ot_exact import (
     brute_force_oracle,
+    dual_floor,
     wasserstein_1d_oracle,
     wasserstein_exact,
 )
@@ -676,6 +677,11 @@ def test_lower_bound_sits_below_the_value_and_a_memo_hit_keeps_it(n, m, dim, p, 
     again = wasserstein_exact(mu, nu, p)
     assert again.plan.masses is res.plan.masses  # served by the memo
     assert (again.cost_lower, again.lower) == (res.cost_lower, res.lower)
+    assert again.psi is res.psi and len(res.psi) == nu.n_atoms
+    if dim == 1:
+        assert wasserstein_1d_oracle(mu, nu, p).psi is None
+    if mu.n_atoms + nu.n_atoms <= 6:
+        assert brute_force_oracle(mu, nu, p).psi is None
 
 
 def test_results_stay_frozen_dataclasses():
@@ -685,4 +691,36 @@ def test_results_stay_frozen_dataclasses():
             setattr(obj, name, None)
     assert dataclasses.replace(res, solver="copy").cost_lower == res.cost_lower
     assert [f.name for f in dataclasses.fields(res)] == [
-        "value", "cost", "plan", "solver", "p", "cost_lower"]
+        "value", "cost", "plan", "solver", "p", "cost_lower", "psi"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 3),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]), st.floats(-3.0, 3.0), st.floats(-3.0, 12.0),
+       st.floats(-1e3, 1e3), st.integers(0, 2**32 - 1))
+def test_a_dual_floor_never_exceeds_the_value_whatever_the_potentials(n, m, dim, p, log_scale,
+                                                                      log_psi, shift, seed):
+    # weak duality holds for every psi: the solver's own, random, large and negative ones
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    x = random_measure(rng, n, dim, box=scale, min_atoms=n)
+    nu = random_measure(rng, m, dim, box=scale, min_atoms=m)
+    res = wasserstein_exact(random_measure(rng, n, dim, box=scale), nu, p)
+    cost = wasserstein_exact(x, nu, p).cost
+    unit = (4.0 * scale) ** p  # above every cost between the two boxes
+    drawn = (rng.normal(size=nu.n_atoms) * 10.0 ** log_psi + shift) * unit
+    for psi in (res.psi, tuple(drawn.tolist())):
+        floor = dual_floor(x, nu, psi, p)
+        slack = 1e-12 * (cost + unit + max(map(abs, psi)))
+        assert floor == -math.inf or floor ** p <= cost + slack
+
+
+def test_a_dual_floor_on_an_overflowed_cost_is_minus_infinity():
+    # 2000**120 overflows: the solve's potentials are zeros and prove nothing
+    mu = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    nu = validate_measure([[2000.0], [2002.5]], [0.5, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = wasserstein_exact(mu, nu, 120.0).psi
+        assert psi == (0.0, 0.0)
+        for floor_psi in (psi, (1e300, -1e300), (3.0, -2.0)):
+            assert dual_floor(mu, nu, floor_psi, 120.0) == -math.inf

@@ -204,21 +204,35 @@ def test_dirac_ray_samples_are_the_solved_values(n, dim, p, log_scale, tol, seed
 
 
 def test_dirac_ray_samples_raise_what_a_solve_raises():
+    # a wrong dimension reaches the samples; a non-finite origin is refused when the
+    # ray is built, so a sample's own refusal of it is checked on the sample alone
     planar = validate_measure([[0.0, 1.0], [2.0, -1.0]], [0.5, 0.5])
-    cases = (
-        (DimensionError, dirac_ray([0.0], [1.0], 2.0), planar),
-        (DomainError, WassersteinRay(dirac([0.0]), np.array([[math.inf]]), np.array([[1.0]]), 2.0),
-         dirac([1.0])),
-    )
-    for error, ray, omega in cases:
-        messages = []
-        for route in (wgeom.dirac_value, _solved_sample):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(wgeom, "dirac_value", route)
-                with pytest.raises(error) as info:
-                    busemann_estimate(ray, omega)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+    ray = dirac_ray([0.0], [1.0], 2.0)
+    z = np.array([[math.inf]])
+    messages = {DimensionError: [], DomainError: []}
+    for route in (wgeom.dirac_value, _solved_sample):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wgeom, "dirac_value", route)
+            with pytest.raises(DimensionError) as info:
+                busemann_estimate(ray, planar)
+        messages[DimensionError].append(str(info.value))
+        with pytest.raises(DomainError) as info:
+            route(dirac([1.0]), z, np.array([1.0]), 2.0)
+        messages[DomainError].append(str(info.value))
+    for found in messages.values():
+        assert found[0] == found[1]
+    with pytest.raises(DomainError, match="non-finite"):
+        WassersteinRay(dirac([0.0]), z, np.array([[1.0]]), 2.0)
+
+
+def test_a_ray_refuses_non_finite_origins_as_a_support_is_refused():
+    base = validate_measure([[0.0], [1.0]], [0.5, 0.5])
+    with pytest.raises(DomainError) as refused:
+        validate_measure([[0.0], [math.inf]], [0.5, 0.5])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError) as info:
+            WassersteinRay(base, np.array([[0.0], [bad]]), np.ones((2, 1)), 2.0)
+        assert str(info.value) == str(refused.value)
 
 
 def test_dirac_ray_stops_before_its_later_samples():
