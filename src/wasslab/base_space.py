@@ -215,10 +215,21 @@ class MinField(ScalarField):
         return min(f.evaluate(x) for f in self.fields)
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        return functools.reduce(np.minimum, [f.evaluate_many(pts) for f in self.fields])
+        return functools.reduce(np.minimum, self.member_values(pts))
 
-    def descent_rays(self, pts):
-        pick = np.array([f.evaluate_many(pts) for f in self.fields]).argmin(axis=0).tolist()
+    def member_values(self, pts: np.ndarray) -> list[np.ndarray]:
+        """Each member's values at the rows of pts, in member order."""
+        return [f.evaluate_many(pts) for f in self.fields]
+
+    def descent_rays(self, pts, members=None):
+        """The rays of the member attaining the minimum at each row.
+
+        `members` is `member_values(pts)` when the caller has it already.
+        Only members that attain some row's minimum are asked for rays.
+        """
+        if members is None:
+            members = self.member_values(pts)
+        pick = np.array(members).argmin(axis=0).tolist()
         origins, directions = np.empty_like(pts), np.empty_like(pts)
         for k in set(pick):
             # index lists, not a boolean mask, whose nonzero kernel costs resident memory

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
 
-from .base_space import ScalarField, base_field_from_config
+from .base_space import MinField, ScalarField, base_field_from_config
 from .discrete_measure import DiscreteMeasure, check_exponent, validate_measure
 from .errors import (
     DimensionError,
@@ -126,11 +126,28 @@ class LiftedField(MeasureField):
 
 
 class _LiftedPoint(BasePoint):
-    """The lifted descent ray from omega, built on the first candidate."""
+    """The lifted descent ray from omega, built on the first candidate.
+
+    A minimum's members are evaluated on omega's support once, and U(omega)
+    and the ray's pick of a member per atom share those values.
+    """
+
+    @cached_property
+    def members(self) -> list[np.ndarray] | None:
+        """A `MinField` base's `member_values` on omega's support; None for other bases."""
+        U = self.field
+        U._check_dim(self.omega)
+        return U.base.member_values(self.omega.support) if isinstance(U.base, MinField) else None
+
+    @cached_property
+    def value(self) -> float:
+        if self.members is None:
+            return self.field.evaluate(self.omega)
+        return float(np.dot(self.omega.weights, reduce(np.minimum, self.members)))
 
     @cached_property
     def ray(self) -> WassersteinRay:
-        return lifted_ray(self.field, self.omega)
+        return lifted_ray(self.field, self.omega, self.members)
 
     def candidate(self, t):
         U = self.field
@@ -294,12 +311,18 @@ def inf_of_fields(fields: Sequence[MeasureField]) -> MeasureField:
     return fields[0] if len(fields) == 1 else InfField(fields)
 
 
-def lifted_ray(U: MeasureField, omega: DiscreteMeasure) -> WassersteinRay:
-    """Per-atom descent ray of a lifted field; exact unit-rate value drop."""
+def lifted_ray(U: MeasureField, omega: DiscreteMeasure, members=None) -> WassersteinRay:
+    """Per-atom descent ray of a lifted field; exact unit-rate value drop.
+
+    `members` is `U.base.member_values(omega.support)` when the caller has
+    it already, for a `MinField` base.
+    """
     if not isinstance(U, LiftedField):
         raise UnsupportedField(f"{type(U).__name__} has no lifted descent ray")
     U._check_dim(omega)
-    return WassersteinRay(omega, *U.base.descent_rays(omega.support), U.p)
+    if members is None:
+        return WassersteinRay(omega, *U.base.descent_rays(omega.support), U.p)
+    return WassersteinRay(omega, *U.base.descent_rays(omega.support, members), U.p)
 
 
 def measure_field_from_config(cfg: dict, default_p: float = 2.0) -> MeasureField:

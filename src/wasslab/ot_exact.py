@@ -217,7 +217,8 @@ def _distance_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     else:
         diff = X[:, None, :] - Y[None, :, :]
         D = np.sqrt((diff * diff).sum(axis=2))
-    D[D < DIST_CLAMP] = 0.0
+    if D.item(D.argmin()) < DIST_CLAMP:  # rare, so the masked store is skipped otherwise
+        D[D < DIST_CLAMP] = 0.0
     return D
 
 

@@ -351,6 +351,8 @@ def busemann_estimate(ray: WassersteinRay, omega: DiscreteMeasure,
 # ---------------------------------------------------------------------------
 
 SPHERE_BAND = (0.9, 1.1)  # accepted certified-distance band around the radius
+_ONE = np.ones(1)         # the weight of a unit Dirac
+_ONE.setflags(write=False)
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -395,18 +397,32 @@ def _atom_shift_candidate(omega, r, p, rng):
     return cand, cert
 
 
-def _path_candidate(omega, r, p, rng):
-    shift = 2.0 * r * _random_unit(rng, omega.dim)
-    pts = omega.support + shift + rng.normal(scale=max(r, 0.5), size=omega.support.shape)
-    path = displacement_path(omega, validate_measure(pts, omega.weights), p)
-    if path.length <= r:
+def _dilation_candidate(omega, r, p, rng):
+    """Dilate omega about a random centre c to distance r, with no solve.
+
+    With far = W_p(omega, delta_c), x = c + lam (omega - c) lies at
+    W_p(omega, x) = |lam - 1| far for every lam > 0: moving each atom along
+    its row is a coupling, and the triangle inequality through delta_c,
+    whose only coupling is the product plan, gives W_p(omega, x) >=
+    |W_p(x, delta_c) - far| = |lam - 1| far. Both ends are `dirac_value`
+    reads. lam = 1 - r / far (a cut of the geodesic toward delta_c) with
+    probability 1/2 when r < far, else 1 + r / far. Atoms that merged fall
+    back to a solve through `shift_distance`.
+    """
+    c = (omega.weights @ omega.support + max(r, 0.5) * rng.normal(size=omega.dim))[None, :]
+    shrink = rng.random() < 0.5
+    far = dirac_value(omega, c, _ONE, p)
+    if far == 0.0:
         return None
-    cand, near, _ = path.cut(r)
-    return cand, certified_distance(omega, cand, p, *near)
+    lam = 1.0 - r / far if shrink and r < far else 1.0 + r / far
+    rows = c + lam * (omega.support - c)
+    x = validate_measure(rows, omega.weights)
+    lower = abs(dirac_value(x, c, _ONE, p) - far)
+    return x, shift_distance(omega, x, rows, p, lower)
 
 
 # each proposes one (measure, certified distance), or None; taken in turn
-_SPHERE_GENERATORS = (_translate_candidate, _atom_shift_candidate, _path_candidate)
+_SPHERE_GENERATORS = (_translate_candidate, _atom_shift_candidate, _dilation_candidate)
 
 
 def sphere_candidates(omega: DiscreteMeasure, r: float, p: float = 2.0,
@@ -414,9 +430,13 @@ def sphere_candidates(omega: DiscreteMeasure, r: float, p: float = 2.0,
     """Lazy stream of the candidates `sphere_sample` returns, in its order.
 
     The radius and budget are checked now, before any solve; each candidate
-    is proposed and certified only when it is read. Read to the end, the
-    stream draws from rng exactly what `sphere_sample` draws, and raises
-    `SphereSamplingFailed` if no candidate landed in the band.
+    is proposed and certified only when it is read. Translations and
+    dilations are certified by their construction (a dilation's lower end
+    is the triangle inequality through the Dirac at its centre), so only a
+    single-atom shift past a neighbour, or a candidate whose atoms merged,
+    solves. Read to the end, the stream draws from rng exactly what
+    `sphere_sample` draws, and raises `SphereSamplingFailed` if no
+    candidate landed in the band.
     """
     if not r > 0.0:
         raise DomainError(f"radius {r} must be positive")
@@ -447,8 +467,10 @@ def sphere_sample(omega: DiscreteMeasure, r: float, p: float = 2.0,
 
     Three generators, taken in turn: rigid translation (lands exactly at r),
     single-atom displacement with a scale search that starts where the move
-    alone costs r, and transport toward a random target measure truncated at
-    arc length r. Every sample carries the certified distance, which is what
+    alone costs r, and a dilation about a random centre c scaled to land
+    exactly at r, whose distance |lam - 1| W_p(omega, delta_c) both the row
+    shifts and the triangle inequality through delta_c pin down with no
+    solve. Every sample carries the certified distance, which is what
     downstream calibration formulas use; acceptance requires it inside
     [0.9 r, 1.1 r]. Up to `budget` samples are kept from at most
     4 * budget + 3 attempts. The list is `sphere_candidates` read to the end.

@@ -38,10 +38,12 @@ def test_a_translation_candidate_solves_nothing(solves):
     assert not solves
 
 
-def test_a_path_candidate_solves_only_its_geodesic(solves):
-    _, cert = wgeom._path_candidate(OMEGA, 0.5, 2.0, np.random.default_rng(0))
-    assert abs(cert - 0.5) <= 1e-12
-    assert len(solves) == 1
+def test_a_dilation_candidate_solves_nothing(solves):
+    rng = np.random.default_rng(0)
+    for r in (1.0, 0.5, 0.1):
+        x, cert = wgeom._dilation_candidate(OMEGA, r, 2.0, rng)
+        assert x.n_atoms == OMEGA.n_atoms and abs(cert - r) <= 1e-12
+    assert not solves
 
 
 def test_analytic_candidates_solve_only_what_their_construction_leaves_open(solves):
@@ -112,11 +114,11 @@ VERDICTS = {
 
 
 @pytest.mark.parametrize("kind, expected", [
-    ("sphere_lifted", 4),
-    ("sphere_constant", 4),
-    ("sphere_distance", 6),
+    ("sphere_lifted", 1),
+    ("sphere_constant", 1),
+    ("sphere_distance", 2),
     ("dlg", 0),
-    ("descent", 4),
+    ("descent", 1),
     ("busemann", 0),  # a Dirac ray's samples are product plans
 ])
 def test_verdict_solve_counts(solves, kind, expected):
@@ -131,9 +133,9 @@ def test_lifted_ray_builds(monkeypatch, kind, expected):
     builds = []
     build = measure_fields.lifted_ray
 
-    def counted(U, omega):
+    def counted(U, omega, members=None):
         builds.append(omega)
-        return build(U, omega)
+        return build(U, omega, members)
     monkeypatch.setattr(measure_fields, "lifted_ray", counted)
     VERDICTS[kind]()
     assert len(builds) == expected

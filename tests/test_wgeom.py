@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wasslab import ot_exact, wgeom
@@ -29,6 +29,7 @@ from wasslab.errors import (
     InvalidRay,
     SequenceTooClose,
     SphereSamplingFailed,
+    UnsupportedField,
 )
 from wasslab.ot_exact import brute_force_oracle, wasserstein_exact
 from wasslab.scenarios import escaping_mixture
@@ -259,6 +260,44 @@ def test_sphere_sample_translation_always_exact():
     for _ in range(6):
         _, cert = wgeom._translate_candidate(omega, 0.7, 2.0, rng)
         assert abs(cert - 0.7) <= 1e-10
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 12), st.integers(1, 3), st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]),
+       st.floats(-2.0, 2.0), st.floats(0.01, 2.0), st.integers(0, 2**32 - 1))
+def test_a_dilation_is_certified_at_the_solved_distance(solves, n, dim, p, log_scale, frac,
+                                                        seed):
+    # |lam - 1| W_p(omega, delta_c) is both ends of the bracket, so nothing is solved
+    # unless atoms merged and left their rows
+    scale = 10.0 ** log_scale
+    rng = np.random.default_rng(seed)
+    omega = random_measure(rng, n, dim, box=scale, min_atoms=n)
+    r = frac * scale
+    solves.clear()
+    got = wgeom._dilation_candidate(omega, r, p, rng)
+    assume(got is not None)
+    x, cert = got
+    assert abs(cert - wasserstein_exact(omega, x, p).value) <= 1e-12 * cert
+    assert abs(cert - r) <= 1e-12 * r
+    if x.n_atoms == n:
+        assert not solves
+
+
+class _Zeros:
+    """An rng stub whose normals are 0 and whose uniforms are 0."""
+
+    def normal(self, size=None):
+        return np.zeros(size)
+
+    def random(self):
+        return 0.0
+
+
+def test_a_dilation_about_a_dirac_itself_is_no_candidate(solves):
+    # the centre falls on the only atom, where every dilation stays put
+    assert wgeom._dilation_candidate(dirac([0.5, -1.0]), 0.3, 2.0, _Zeros()) is None
+    assert not solves
 
 
 def test_single_atom_shift_certificate(solves):
@@ -554,6 +593,50 @@ def test_lifted_rays_match_their_definition(case, p):
         moved = ray.eval(t)
         assert abs(U.evaluate(omega) - U.evaluate(moved) - t) <= 1e-9
         assert abs(wasserstein_exact(omega, moved, p).value - t) <= 1e-8
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_lifted_case(), st.sampled_from([1.0, 2.0, 3.0]))
+def test_a_lifted_base_point_has_the_bits_of_the_field_and_its_ray(case, p):
+    # the base point evaluates a minimum's members once and shares them
+    omega, lifted, _ = case
+    U = lift(lifted, p)
+    point = U.at(omega)
+    assert point.value == U.evaluate(omega)
+    ray = lifted_ray(U, omega)
+    assert point.ray.origins.tobytes() == ray.origins.tobytes()
+    assert point.ray.directions.tobytes() == ray.directions.tobytes()
+
+
+def test_a_lifted_minimum_evaluates_each_member_once_per_base_point(monkeypatch):
+    calls = []
+    evaluate_many = BusemannField.evaluate_many
+
+    def counted(self, pts):
+        calls.append(self)
+        return evaluate_many(self, pts)
+    monkeypatch.setattr(BusemannField, "evaluate_many", counted)
+    members = (BusemannField(np.array([1.0, 0.0]), 0.3), BusemannField(np.array([0.0, -1.0])),
+               BusemannField(np.array([-0.6, 0.8]), 0.5))
+    omega = validate_measure([[0.0, 0.0], [1.5, 0.2], [-0.4, 1.1], [0.7, -1.3]],
+                             [0.1, 0.2, 0.3, 0.4])
+    point = lift(MinField(members), 2.0).at(omega)
+    point.value, point.ray
+    assert calls == list(members)
+
+
+def test_a_lifted_minimum_asks_only_its_picked_members_for_rays():
+    # a multi-anchor distance field has no global ray; it is asked only where it
+    # attains the minimum, and a tie goes to the lower index
+    base = MinField((BusemannField(np.array([1.0])),
+                     DistanceField(np.array([[-10.0], [10.0]]), sign=-1)))
+    U = lift(base, 2.0)
+    away = validate_measure([[5.0], [7.0]], [0.5, 0.5])  # -x <= -distance, a tie at 5
+    assert np.array_equal(U.at(away).ray.directions, [[1.0], [1.0]])
+    near = validate_measure([[1.0], [7.0]], [0.5, 0.5])  # -9 at 1 is the distance's
+    for build in (lambda: U.at(near).ray, lambda: lifted_ray(U, near)):
+        with pytest.raises(UnsupportedField):
+            build()
 
 
 _BRACKETS = settings(max_examples=80, deadline=None, derandomize=True)
