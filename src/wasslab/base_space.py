@@ -170,10 +170,10 @@ class BusemannField(ScalarField):
         return self.offset - float(np.dot(p, self.direction))
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.offset - pts @ self.direction
+        return self.offset - pts.dot(self.direction)
 
     def descent_rays(self, pts):
-        return pts, np.repeat(self.direction[None, :], pts.shape[0], axis=0)
+        return pts, self.direction[None, :].repeat(pts.shape[0], axis=0)
 
     @property
     def has_analytic_rays(self) -> bool:
@@ -229,12 +229,20 @@ class MinField(ScalarField):
         """
         if members is None:
             members = self.member_values(pts)
-        pick = np.array(members).argmin(axis=0).tolist()
+        pick = np.array(members).argmin(axis=0)
+        # the rows grouped by member, in member order, so each group is one slice
+        order = pick.argsort(kind="stable")
+        picked, rows = pick[order].tolist(), pts[order]
+        grouped_o, grouped_d = np.empty_like(rows), np.empty_like(rows)
+        start = 0
+        while start < len(picked):
+            k = picked[start]
+            end = start + picked.count(k)
+            grouped_o[start:end], grouped_d[start:end] = self.fields[k].descent_rays(
+                rows[start:end])
+            start = end
         origins, directions = np.empty_like(pts), np.empty_like(pts)
-        for k in set(pick):
-            # index lists, not a boolean mask, whose nonzero kernel costs resident memory
-            rows = [i for i, j in enumerate(pick) if j == k]
-            origins[rows], directions[rows] = self.fields[k].descent_rays(pts[rows])
+        origins[order], directions[order] = grouped_o, grouped_d
         return origins, directions
 
     @property

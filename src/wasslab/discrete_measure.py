@@ -130,6 +130,11 @@ def validate_measure(support, weights) -> DiscreteMeasure:
     so a chain 0, 0.9e-12, 1.8e-12 becomes one atom at 0. Weights below
     PRUNE_TOL are then dropped.
 
+    Rows whose first coordinates already rise by more than MERGE_TOL, as
+    omega's rows do after a translation or a dilation, are sorted and cannot
+    merge, so they are copied, not sorted again; other rows cost one extra
+    check of those gaps.
+
     The arrays are small, so the checks read extremes through argmin and
     argmax, which stop at a nan as min and max do, and sum the weights with
     `math.fsum`, which is exact and does not depend on their order.
@@ -163,6 +168,13 @@ def validate_measure(support, weights) -> DiscreteMeasure:
         low = w.item(w.argmin())
 
     if n > 1:
+        x0 = pts[:, 0]
+        gaps = x0[1:] - x0[:-1]
+    if n == 1 or gaps.item(gaps.argmin()) > MERGE_TOL:
+        # sorted already, and too far apart to merge: copies, so the measure
+        # never shares memory with the caller
+        pts, w = pts.copy(), w.copy()
+    else:
         order = np.lexsort(pts.T[::-1])
         pts, w = pts[order], w[order]
         # rows within MERGE_TOL of each other sit in one run of sorted rows
@@ -173,8 +185,6 @@ def validate_measure(support, weights) -> DiscreteMeasure:
             pts, w = _merge_runs(pts, w, gaps <= MERGE_TOL)
             low = w.item(w.argmin())
             changed = True
-    else:  # copies, so the measure never shares memory with the caller
-        pts, w = pts.copy(), w.copy()
 
     if low < PRUNE_TOL:
         keep = w >= PRUNE_TOL

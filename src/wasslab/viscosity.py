@@ -46,7 +46,7 @@ from .measure_fields import (  # noqa: F401
     measure_field_from_config,
 )
 from .ot_exact import wasserstein_exact
-from .wgeom import WassersteinRay, busemann_estimate, ensure_rng, sphere_candidates
+from .wgeom import WassersteinRay, busemann_estimate, check_count, ensure_rng, sphere_candidates
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -144,6 +144,7 @@ def local_slope_estimate(U: MeasureField, omega: DiscreteMeasure,
                          budget: int = 8, rng=None) -> SlopeEstimate:
     """Lower bound on the local slope of U at omega over shrinking radii."""
     radii = _check_radii(radii)
+    budget = check_count(budget, "budget")
     rng = ensure_rng(rng)
     point = U.at(omega)
     base_value = point.value
@@ -252,12 +253,14 @@ def viscosity_sphere_test(U: MeasureField, omega: DiscreteMeasure,
     witness and no refuter at every radius. A refuter makes the verdict FAIL
     for analytically complete variants and INCONCLUSIVE otherwise, and so
     does a radius without a witness, except that a radius with no candidates
-    at all is inconclusive. Radii must be positive and decreasing, and
-    0 < eps < 1.
+    at all is inconclusive. Radii must be positive and decreasing,
+    0 < eps < 1, and the budget a whole number of at least 1, all checked
+    before any solve.
     """
     radii = _check_radii(radii)
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps {eps} must lie strictly between 0 and 1")
+    budget = check_count(budget, "budget")
     rng = ensure_rng(rng)
     point = U.at(omega)
     base_value = point.value
@@ -341,9 +344,10 @@ def dlg_test(U: MeasureField, omega: DiscreteMeasure, levels: Sequence[float],
     sample left it. At least one level is required, and each must lie more
     than 1e-10 below U(omega), so that the analytic and translate
     candidates, both at certified distance about U(omega) - c, are never
-    dropped as degenerate; budget >= 1 is checked before any candidate is
-    solved.
+    dropped as degenerate; the budget, a whole number of at least 1, is
+    checked before any solve.
     """
+    budget = check_count(budget, "budget")
     point = U.at(omega)
     base_value = point.value
     if not levels or not all(c < base_value - _DEGENERATE_PAIR for c in levels):
@@ -442,12 +446,12 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
     earliest generated). Raises DescentStalled, with the partial polyline
     and the stalled step's first refuting (measure, distance, drop), if any,
     attached, when no candidate is admissible; this is the expected outcome
-    for fields that are not unit-slope.
+    for fields that are not unit-slope. The step count and the budget must
+    be whole numbers of at least 1.
     """
     if not eps > 0.0:  # nan fails it too
         raise DomainError(f"eps {eps} must be positive")
-    if steps < 1:
-        raise DomainError(f"steps {steps} must be at least 1")
+    steps, budget = check_count(steps, "steps"), check_count(budget, "budget")
     if not step_length > 0.0:
         raise DomainError(f"step_length {step_length} must be positive")
     rng = ensure_rng(rng)

@@ -81,15 +81,15 @@ def shift_bracket(omega: DiscreteMeasure, rows: np.ndarray, p: float,
     """
     shift = rows - omega.support
     lengths = np.sqrt((shift * shift).sum(axis=1))
-    mean = omega.weights @ shift
-    hi = math.fsum(omega.weights * (lengths if p == 1.0 else lengths**p))
+    mean = omega.weights.dot(shift)
+    hi = math.fsum((omega.weights * (lengths if p == 1.0 else lengths**p)).tolist())
     hi = hi if p == 1.0 else hi ** (1.0 / p)
     lo = max(math.sqrt(mean.dot(mean)), lower)
     if hi - lo > BRACKET_TOL * hi:
         pts = omega.support
         diff = pts[:, None, :] - pts[None, :, :]
         room = np.sqrt((diff * diff).sum(axis=2)) - lengths[:, None] - lengths[None, :]
-        np.fill_diagonal(room, 0.0)
+        room.flat[::pts.shape[0] + 1] = 0.0  # the diagonal
         if room.item(room.argmin()) >= 0.0:
             lo = hi
     return lo, hi
@@ -409,7 +409,7 @@ def _dilation_candidate(omega, r, p, rng):
     probability 1/2 when r < far, else 1 + r / far. Atoms that merged fall
     back to a solve through `shift_distance`.
     """
-    c = (omega.weights @ omega.support + max(r, 0.5) * rng.normal(size=omega.dim))[None, :]
+    c = (omega.weights.dot(omega.support) + max(r, 0.5) * rng.normal(size=omega.dim))[None, :]
     shrink = rng.random() < 0.5
     far = dirac_value(omega, c, _ONE, p)
     if far == 0.0:
@@ -429,20 +429,33 @@ def sphere_candidates(omega: DiscreteMeasure, r: float, p: float = 2.0,
                       budget: int = 8, rng=None):
     """Lazy stream of the candidates `sphere_sample` returns, in its order.
 
-    The radius and budget are checked now, before any solve; each candidate
-    is proposed and certified only when it is read. Translations and
-    dilations are certified by their construction (a dilation's lower end
-    is the triangle inequality through the Dirac at its centre), so only a
-    single-atom shift past a neighbour, or a candidate whose atoms merged,
-    solves. Read to the end, the stream draws from rng exactly what
-    `sphere_sample` draws, and raises `SphereSamplingFailed` if no
-    candidate landed in the band.
+    The radius and the budget, a whole number of at least 1, are checked
+    now, before any solve; each candidate is proposed and certified only
+    when it is read. Translations and dilations are certified by their
+    construction (a dilation's lower end is the triangle inequality through
+    the Dirac at its centre), so only a single-atom shift past a neighbour,
+    or a candidate whose atoms merged, solves. Read to the end, the stream
+    draws from rng exactly what `sphere_sample` draws, and raises
+    `SphereSamplingFailed` if no candidate landed in the band.
     """
     if not r > 0.0:
         raise DomainError(f"radius {r} must be positive")
-    if budget < 1:
-        raise DomainError(f"budget {budget} must be at least 1")
-    return _sphere_stream(omega, r, p, budget, ensure_rng(rng))
+    return _sphere_stream(omega, r, p, check_count(budget, "budget"), ensure_rng(rng))
+
+
+def check_count(n, name: str) -> int:
+    """n as an int if it is a whole number of at least 1, as 8.0 is 8; else `DomainError`.
+
+    A fractional, non-finite or non-numeric n is refused: a budget of nan
+    would keep no sample and one of inf would never stop.
+    """
+    try:
+        whole = int(n)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
+        whole = 0
+    if whole != n or whole < 1:
+        raise DomainError(f"{name} {n!r} must be a whole number of at least 1")
+    return whole
 
 
 def _sphere_stream(omega, r, p, budget, rng):

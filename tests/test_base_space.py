@@ -175,6 +175,24 @@ def test_distance_field_batch_rays_have_the_bits_of_one_point():
             assert np.array_equal(direction, (x - anchor) / np.linalg.norm(x - anchor))
 
 
+def test_a_minimum_gives_each_row_the_ray_its_picked_member_gives_it_alone():
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        d, n, k = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (1, 13), (1, 6)))
+        members = [BusemannField(v / np.linalg.norm(v), rng.uniform(-1.0, 1.0))
+                   if rng.random() < 0.6 else DistanceField(rng.normal(size=(1, d)))
+                   for v in rng.normal(size=(k, d))]
+        members.append(members[0])  # a tie, which goes to the lower index
+        u = MinField(tuple(members))
+        pts = rng.normal(scale=2.0, size=(n, d))
+        origins, directions = u.descent_rays(pts)
+        pick = np.array(u.member_values(pts)).argmin(axis=0)
+        for i, j in enumerate(pick):
+            alone = members[j].descent_rays(pts[i:i + 1])
+            assert origins[i].tobytes() == alone[0].tobytes()
+            assert directions[i].tobytes() == alone[1].tobytes()
+
+
 def test_custom_field_ray_registration():
     u = CustomField(lambda p: min(0.0, -p[0]), dim=1)
     assert u.evaluate([2.0]) == -2.0

@@ -143,6 +143,45 @@ def test_each_atom_carries_the_weight_of_its_group(case):
     assert np.abs(m.weights - [mass for _, mass in atoms]).max() <= 1e-15
 
 
+@st.composite
+def _apart(draw):
+    """1-12 rows in d 1-3 whose first coordinates differ by more than MERGE_TOL,
+    sorted by them, with their weights and a shuffle of the rows."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1.5e-12, 1e-6, 1.0, 1e6]))
+    firsts = sorted(draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n,
+                                  unique=True)))
+    coords = st.floats(-1e3, 1e3, allow_nan=False)
+    rest = draw(st.lists(st.lists(coords, min_size=d - 1, max_size=d - 1),
+                         min_size=n, max_size=n))
+    pts = np.array([[k * scale] + r for k, r in zip(firsts, rest)])
+    w = np.array(draw(st.lists(st.integers(1, 20), min_size=n, max_size=n)), dtype=float)
+    return pts, w / w.sum(), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_apart())
+def test_sorted_rows_are_copied_with_the_bits_a_sort_gives(case):
+    pts, w, perm = case
+    sorts, lexsort = [], np.lexsort
+
+    def counted(keys):
+        sorts.append(keys)
+        return lexsort(keys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrete_measure.np, "lexsort", counted)
+        m = validate_measure(pts, w)
+        assert not sorts  # rows already sorted and apart are not sorted again
+        shuffled = validate_measure(pts[list(perm)], w[list(perm)])
+    assert m.support.tobytes() == shuffled.support.tobytes() == pts.tobytes()
+    assert m.weights.tobytes() == shuffled.weights.tobytes()
+    assert m.support.shape == shuffled.support.shape == pts.shape
+    for mine, theirs in ((m.support, pts), (m.weights, w)):
+        assert not np.shares_memory(mine, theirs)
+        assert not mine.flags.writeable and theirs.flags.writeable
+
+
 def test_malformed_weights_and_supports_keep_their_error_classes(tmp_path, capsys):
     two = [[0.0], [1.0]]
     # the weights overflow a float sum: not normalized, as when numpy summed them to inf

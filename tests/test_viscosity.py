@@ -280,6 +280,41 @@ def test_dlg_checks_the_budget_before_any_solve(solves):
     assert not solves
 
 
+_THREE_ATOMS = ([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]], [0.5, 0.3, 0.2])
+
+
+@pytest.mark.parametrize("field", ["lifted", "distance"])
+@pytest.mark.parametrize("budget", [0, 2.5, math.nan, math.inf])
+def test_the_sphere_test_refuses_a_budget_that_is_no_whole_number_before_any_solve(
+        budget, field, solves):
+    # unchecked, a budget of nan reads no sample, so the analytic candidates alone
+    # give PASS, and one of inf never returns
+    omega = validate_measure(*_THREE_ATOMS)
+    U = lift(BusemannField(E1)) if field == "lifted" else DistanceToField(dirac([5.0, 0.0]))
+    with pytest.raises(DomainError, match="budget"):
+        viscosity_sphere_test(U, omega, budget=budget, rng=0)
+    assert not solves
+
+
+@pytest.mark.parametrize("steps", [2.5, math.nan, math.inf])
+def test_greedy_descent_refuses_a_step_count_that_is_no_whole_number(steps, solves):
+    # unchecked, these raise a bare TypeError from range()
+    omega = validate_measure(*_THREE_ATOMS)
+    with pytest.raises(DomainError, match="steps"):
+        greedy_descent(DistanceToField(dirac([5.0, 0.0])), omega, eps=1e-2, steps=steps)
+    assert not solves
+
+
+def test_whole_float_counts_read_as_their_ints():
+    omega = validate_measure(*_THREE_ATOMS)
+    U = lift(BusemannField(E1))
+    as_int = viscosity_sphere_test(U, omega, budget=3, rng=0).to_json_dict()
+    assert viscosity_sphere_test(U, omega, budget=3.0, rng=0).to_json_dict() == as_int
+    walks = [greedy_descent(U, omega, eps=1e-2, steps=s, budget=b, rng=0)
+             for s, b in ((2, 3), (2.0, 3.0))]
+    assert walks[0].times == walks[1].times and walks[0].values == walks[1].values
+
+
 def test_dlg_constant_reads_the_whole_stream():
     omega = _mix((0.0, 0.5), (1.0, 0.5))
     levels, budget = (-1.0, -2.5), 3

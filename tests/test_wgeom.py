@@ -368,6 +368,15 @@ def test_sphere_stream_checks_its_arguments_before_any_solve(solves):
     assert not solves
 
 
+@pytest.mark.parametrize("budget", [0, 2.5, math.nan, math.inf])
+def test_sphere_sample_refuses_a_budget_that_is_no_whole_number_of_at_least_1(budget, solves):
+    # unchecked, nan keeps no sample, inf never stops and 2.5 keeps 3
+    omega = validate_measure([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]], [0.5, 0.3, 0.2])
+    with pytest.raises(DomainError, match="budget"):
+        sphere_sample(omega, 1.0, 2.0, budget=budget, rng=0)
+    assert not solves
+
+
 def test_sphere_sample_failure_is_reported(monkeypatch):
     omega = dirac([0.0])
     # a generator whose proposals all stay at the centre, far below the band
