@@ -11,7 +11,6 @@ from .base_space import (
     ScalarField,
     as_point,
     base_field_from_config,
-    min_combine,
 )
 from .discrete_measure import (
     DiscreteMeasure,
@@ -39,7 +38,6 @@ from .viscosity import (
     dlg_test,
     global_slope_estimate,
     greedy_descent,
-    inf_of_fields,
     lift,
     lifted_ray,
     lipschitz_probe,
@@ -58,13 +56,12 @@ from .wgeom import (
     displacement_path,
     dlc_limit,
     sphere_sample,
-    wasserstein_ray,
 )
 from . import errors
 
 __all__ = [
     "BaseRay", "BusemannField", "CustomField", "DistanceField", "MinField",
-    "ScalarField", "as_point", "base_field_from_config", "min_combine",
+    "ScalarField", "as_point", "base_field_from_config",
     "DiscreteMeasure", "MeasureSetSequence", "dirac", "random_measure",
     "validate_measure",
     "Coupling", "TransportResult", "brute_force_oracle", "wasserstein_1d_oracle",
@@ -72,11 +69,11 @@ __all__ = [
     "ConstantField", "DistanceToField", "InfField", "LiftedField", "MeasureField",
     "RayBusemannField", "SlopeEstimate", "DescentPolyline",
     "dlg_test", "global_slope_estimate", "greedy_descent",
-    "inf_of_fields", "lift", "lifted_ray", "lipschitz_probe",
+    "lift", "lifted_ray", "lipschitz_probe",
     "local_slope_estimate", "measure_field_from_config", "representation_check",
     "viscosity_sphere_test",
     "BusemannEstimate", "WassersteinPath", "WassersteinRay", "busemann_estimate",
     "cs_diagnostic", "dirac_ray", "displacement_path", "dlc_limit",
-    "sphere_sample", "wasserstein_ray",
+    "sphere_sample",
     "errors",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import (
     DimensionError,
     DomainError,
     EmptyCollection,
-    InvalidRay,
     ParseError,
     UnsupportedField,
     json_numbers,
@@ -52,11 +51,10 @@ def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class BaseRay:
-    """Unit-direction ray t -> origin + t * speed * direction, t >= 0."""
+    """Unit-speed ray t -> origin + t * direction, t >= 0, with a unit direction vector."""
 
     origin: np.ndarray
     direction: np.ndarray
-    speed: float = 1.0
 
     def __post_init__(self):
         # copies, so that freezing them never freezes the caller's arrays
@@ -70,13 +68,10 @@ class BaseRay:
             raise DomainError(f"direction norm {norm} too far from 1 to renormalize")
         if abs(norm - 1.0) > UNIT_TOL:
             direction = direction / norm
-        if not self.speed > 0.0:
-            raise DomainError(f"ray speed must be positive, got {self.speed}")
         origin.setflags(write=False)
         direction.setflags(write=False)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "speed", float(self.speed))
 
     @property
     def dim(self) -> int:
@@ -84,7 +79,7 @@ class BaseRay:
 
     def eval(self, t: float) -> BasePoint:
         check_ray_time(t)
-        return self.origin + (t * self.speed) * self.direction
+        return self.origin + t * self.direction
 
 
 def check_ray_time(t: float) -> None:
@@ -316,8 +311,9 @@ class DistanceField(ScalarField):
 class CustomField(ScalarField):
     """User-supplied evaluator with a declared Lipschitz constant.
 
-    A descent-ray generator may be registered; without one the field cannot
-    participate in ray-based operations.
+    A descent-ray generator may be registered: it maps a point to the
+    `BaseRay` through it, which has unit speed by construction. Without one
+    the field cannot participate in ray-based operations.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -335,19 +331,11 @@ class CustomField(ScalarField):
         if self.ray_fn is None:
             raise UnsupportedField("custom field has no registered descent-ray generator")
         rays = [self.ray_fn(p) for p in pts]
-        if any(abs(r.speed - 1.0) > UNIT_TOL for r in rays):
-            raise InvalidRay("a registered descent ray must have unit speed")
         return np.array([r.origin for r in rays]), np.array([r.direction for r in rays])
 
     @property
     def has_analytic_rays(self) -> bool:
         return self.ray_fn is not None
-
-
-def min_combine(fields: Sequence[ScalarField]) -> ScalarField:
-    """Pointwise minimum of the given fields (singletons pass through)."""
-    fields = tuple(fields)
-    return fields[0] if len(fields) == 1 else MinField(fields)
 
 
 def base_field_from_config(cfg: dict) -> ScalarField:
@@ -363,8 +351,9 @@ def base_field_from_config(cfg: dict) -> ScalarField:
         if variant == "busemann":
             return BusemannField(np.asarray(json_numbers(cfg["direction"]), dtype=float),
                                  float(json_numbers(cfg.get("offset", 0.0))))
-        if variant == "min":
-            return min_combine([base_field_from_config(f) for f in cfg["fields"]])
+        if variant == "min":  # a single member passes through
+            fields = [base_field_from_config(f) for f in cfg["fields"]]
+            return fields[0] if len(fields) == 1 else MinField(fields)
         if variant == "distance":
             # DistanceField itself refuses a sign other than -1 or +1
             return DistanceField(np.asarray(json_numbers(cfg["points"]), dtype=float),

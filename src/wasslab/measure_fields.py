@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -305,12 +304,6 @@ def lift(u: ScalarField, p: float = 2.0) -> LiftedField:
     return LiftedField(u, p)
 
 
-def inf_of_fields(fields: Sequence[MeasureField]) -> MeasureField:
-    """Pointwise minimum; singletons pass through unchanged."""
-    fields = tuple(fields)
-    return fields[0] if len(fields) == 1 else InfField(fields)
-
-
 def lifted_ray(U: MeasureField, omega: DiscreteMeasure, members=None) -> WassersteinRay:
     """Per-atom descent ray of a lifted field; exact unit-rate value drop.
 
@@ -343,8 +336,9 @@ def measure_field_from_config(cfg: dict, default_p: float = 2.0) -> MeasureField
             return DistanceToField(target, float(json_numbers(cfg.get("offset", 0.0))), p)
         if kind == "constant":
             return ConstantField(float(json_numbers(cfg["value"])), p)
-        if kind == "inf":
-            return inf_of_fields([measure_field_from_config(m, p) for m in cfg["members"]])
+        if kind == "inf":  # a single member passes through
+            members = [measure_field_from_config(m, p) for m in cfg["members"]]
+            return members[0] if len(members) == 1 else InfField(members)
     except KeyError as exc:
         raise ParseError(f"{kind} field config is missing the {exc.args[0]!r} entry") from exc
     except (TypeError, ValueError, OverflowError) as exc:

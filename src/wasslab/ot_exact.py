@@ -4,38 +4,34 @@
 and returns an optimal vertex of the coupling polytope. The basis is one
 spanning tree over the n source rows and m target columns, rooted at row 0
 and held in Python lists updated in place, from the start to the plan:
-parent, depth, parent-edge flow, the dual potentials and an adjacency
-list. The northwest corner builds it: each staircase cell hangs one new
-node on an end already in the tree and fixes that node's potential. On
-the line this start is optimal, because supports are stored sorted and
-|x-y|^p is convex (its cost matrix is Monge), so d = 1 solves skip
-pricing and go from the northwest pass straight to the certificate. Only
-if the certificate fails there, as when `DIST_CLAMP` zeroed a positive
-distance and broke the Monge order, does the solve price like any other.
-Pricing is Dantzig's: each pricing turns the potentials into one array,
-and the cell of most negative reduced cost C_ij - u_i - v_j enters. Its
-cycle is found by walking both ends up to their common ancestor; one loop
-moves the flows along it and picks the leaving cell, and after the pivot
-only the subtree that re-hangs on the entering cell has its depths and
-potentials updated, in plain Python. The leaving rule is Cunningham's
-(1976), as in LEMON's `NetworkSimplex`: the tree is strongly feasible,
-each zero-flow edge hanging a row below a column, and stays so when the
-last blocking edge on the walk from the ancestor down the entering row's
-side and up its column's side leaves. A degenerate pivot, common on equal
-weights, then lowers sum(u) - sum(v), so degenerate pivots cannot cycle.
-The northwest start is strongly feasible: a tie closes the row, hanging
-the next one on zero flow, and the last row pays each new column in full.
-The method is the network simplex behind the `emd` solver of Bonneel,
-van de Panne, Paris and Heidrich (SIGGRAPH Asia 2011).
+parent, depth, parent-edge flow, the dual potentials and, from the first
+pivot, an adjacency list. The northwest corner builds it: each staircase
+cell hangs one new node on an end already in the tree and fixes that node's
+potential. On the line this start is optimal, since supports are stored
+sorted and |x-y|^p is convex (its cost matrix is Monge), unless
+`DIST_CLAMP` zeroed a positive distance. Pricing is Dantzig's: each pricing
+turns the potentials into one array, and the cell of most negative reduced
+cost C_ij - u_i - v_j enters. Its cycle is found by walking both ends up to
+their common ancestor; one loop moves the flows along it and picks the
+leaving cell, and after the pivot only the subtree that re-hangs on the
+entering cell has its depths and potentials updated, in plain Python. The
+leaving rule is Cunningham's (1976), as in LEMON's `NetworkSimplex`: the
+tree is strongly feasible, each zero-flow edge hanging a row below a
+column, and stays so when the last blocking edge on the walk from the
+ancestor down the entering row's side and up its column's side leaves. A
+degenerate pivot, common on equal weights, then lowers sum(u) - sum(v), so
+degenerate pivots cannot cycle. The northwest start is strongly feasible: a
+tie closes the row, hanging the next one on zero flow, and the last row
+pays each new column in full. The method is the network simplex behind the
+`emd` solver of Bonneel, van de Panne, Paris and Heidrich (SIGGRAPH Asia
+2011).
 
 At optimality the flows are re-solved on the same tree from the original
 marginals, children before parents, since a parent edge carries the net
-supply of the subtree below it. A start that no pivot changed is returned
-as built: its staircase cells are already in (row, col) order, and the
-reverse of the order in which they joined settles children first, so it
-needs no sort. The tree's potentials (u, v) must certify the plan:
-u_i + v_j <= C_ij on every cell and a.u + b.v equal to the plan's cost,
-both on the unit-scaled cost matrix. A failed certificate raises
+supply of the subtree below it; a start that no pivot changed needs no
+sort. The tree's potentials (u, v) must certify the plan: u_i + v_j <= C_ij
+on every cell and a.u + b.v equal to the plan's cost, both on the
+unit-scaled cost matrix. A failed certificate raises
 `NumericalInconsistency`. The bound the potentials prove, a.u + b.v plus
 the dual slack where it is negative, is rescaled and returned as the
 result's `cost_lower`; a product plan, the only coupling of a Dirac, is its
@@ -46,14 +42,12 @@ below for any x, exactly at x = mu.
 Numpy does the work on the whole matrix: the distance and cost matrices
 and their scaling, and pricing. The last pricing of a solve already priced
 the final potentials, so its smallest reduced cost is the certificate's
-dual slack; only an unpriced solve on the line prices once more to get it.
-Work on the plan's n+m-1 cells (flows, the negative-flow check, the
-`PRUNE_TOL` snap, the duality gap, the plan's cost, the zero-mass filter
-and the marginal check that `Coupling.validate` shares) runs in plain
-Python over lists, where one
-numpy call on a few entries would cost more than the arithmetic. The plan
-arrays are built once, at the end; the simplex's sums over plan cells use
-`math.fsum`.
+dual slack. Work on the plan's n+m-1 cells (flows, the negative-flow
+check, the `PRUNE_TOL` snap, the duality gap, the plan's cost, the
+zero-mass filter and the marginal check that `Coupling.validate` shares)
+runs in plain Python over lists, where one numpy call on a few entries
+would cost more than the arithmetic. The plan arrays are built once, at
+the end; the simplex's sums over plan cells use `math.fsum`.
 
 Two shapes have a cost matrix of plan size, (n-1)(m-1) <= 1, and skip the
 tree. A Dirac side, (n-1)(m-1) = 0, admits only the product plan, which is
@@ -77,10 +71,10 @@ Two independent routes check the simplex: `wasserstein_1d_oracle` builds
 the monotone quantile coupling on the line, which is optimal for every
 convex cost |x-y|^p with p >= 1, from a merged grid of cumulative sums,
 code apart from the certified staircase the simplex returns on the line;
-and `brute_force_oracle` enumerates
-polytope vertices outright on tiny instances. It calls no simplex code: it
-checks every set of n+m-1 cells for a basis by the determinant of its
-incidence matrix and solves the bases' flows in batches.
+and `brute_force_oracle` enumerates polytope vertices outright on tiny
+instances. It calls no simplex code: it checks every set of n+m-1 cells
+for a basis by the determinant of its incidence matrix and solves the
+bases' flows in batches.
 
 Costs are |x-y|^p in double precision; the p-th root is taken once on the
 final optimal cost. Values below 1e-12 are clamped to zero to stay aligned
@@ -309,30 +303,27 @@ def _dot(x, y) -> float:
 # transportation simplex
 # ---------------------------------------------------------------------------
 
-def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
+def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Optimal basis by the network simplex: its plan and potentials (u, v).
 
     Nodes are the rows 0..n-1 and the columns n..n+m-1; the basis is a
     spanning tree rooted at row 0, held in lists updated in place: `parent`,
-    `depth`, the flow on each node's parent edge, the potentials `pot` and
-    an adjacency list. The northwest pass builds it: each staircase cell
-    joins one new node to an end already in the tree. The plan comes back
-    as lists (rows, cols, flow) sorted by (row, col), with the potentials as
-    the list `pot` (u = pot[:n], v = pot[n:]) and the smallest reduced cost
-    of the last pricing, which priced these very potentials: the
-    certificate's dual slack. Unpriced, the slack is None.
-    Dantzig's rule picks the entering cell and Cunningham's the leaving one,
-    so the tree stays strongly feasible from start to plan.
+    `depth`, the flow on each node's parent edge, the potentials `pot` and,
+    from the first pivot, an adjacency list. The northwest pass builds it:
+    each staircase cell joins one new node to an end already in the tree.
+    The plan comes back as lists (rows, cols, flow) sorted by (row, col),
+    with the potentials as the list `pot` (u = pot[:n], v = pot[n:]) and
+    the smallest reduced cost of the last pricing, which priced these very
+    potentials: the certificate's dual slack. Dantzig's rule picks the
+    entering cell and Cunningham's the leaving one, so the tree stays
+    strongly feasible from start to plan.
 
-    Without `price` (the line, where the start is optimal) and when the
-    first pricing finds no entering cell, the staircase is returned as
-    built: its cells are already in (row, col) order, and its flows are
-    re-solved from a and b in the reverse of the order its nodes joined,
-    which settles children before parents. After a pivot the re-solve
-    takes the nodes by decreasing depth and the plan is sorted by cell
-    index i*m + j. Only pricing works on the whole matrix in numpy, on one
-    array built from `pot`; a pivot walks its cycle, moves theta and picks
-    the leaving cell in one loop, and re-hangs one subtree, in plain Python.
+    When the first pricing finds no entering cell, as on the line, the
+    staircase is returned as built: its cells are already in (row, col)
+    order, and its flows are re-solved from a and b in the reverse of the
+    order its nodes joined, which settles children before parents. After a
+    pivot the re-solve takes the nodes by decreasing depth and the plan is
+    sorted by cell index i*m + j.
     """
     n, m = C.shape
     N = n + m
@@ -378,13 +369,6 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
         cols = [parent[x] - n if x < n else x - n for x in nodes]
         return rows, cols, [flow[x] for x in nodes], pot, slack
 
-    if not price:  # every staircase node joins after its parent
-        return plan(reversed(nodes), None)
-    adj: list[list[int]] = [[] for _ in range(N)]
-    for x in nodes:
-        adj[x].append(parent[x])
-        adj[parent[x]].append(x)
-
     def cell_index(x: int) -> int:  # i*m + j for the cell (i, j) above node x
         return x * m + parent[x] - n if x < n else parent[x] * m + x - n
 
@@ -424,10 +408,14 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray, price: bool):
         k = int(R.argmin())
         r = R.item(k)
         if not r < -_ENTER_TOL:   # also stops on a NaN cost (overflow)
-            if not pivots:
+            if not pivots:  # every staircase node joins after its parent
                 return plan(reversed(nodes), r)
             nodes = sorted(range(1, N), key=cell_index)  # the plan in (row, col) order
             return plan(sorted(range(1, N), key=depth.__getitem__, reverse=True), r)
+        if not pivots:  # only pivots walk the tree: each node's parent, then its children
+            adj = [[parent[x]] if x else [] for x in range(N)]
+            for x in nodes:
+                adj[parent[x]].append(x)
         down, up, theta = cycle(k)
         # the last blocking edge on the walk leaves; f - theta is 0.0 exactly
         # when f == theta, so the tree's zero-flow edges all point to the root
@@ -473,16 +461,12 @@ def _certify(Cs, a, b, pot, rows, cols, flow, slack) -> float:
     Dual feasibility (u_i + v_j <= Cs_ij on every cell, u = pot[:n] and
     v = pot[n:]) bounds every plan's cost from below by a.u + b.v; a zero
     gap to the plan's cost closes it. The slack is the least reduced cost
-    over the whole matrix: the simplex's last pricing, or, when it did not
-    price (slack None), one pricing here. The gap is taken on the plan's
-    cells. Returns the lower bound on the optimal cost of Cs that the
-    potentials prove: u shifted by min(slack, 0) is feasible, and a sums to 1.
+    over the whole matrix, which the last pricing found; the gap is taken
+    on the plan's cells. Returns the lower bound on the optimal cost of Cs
+    that the potentials prove: u shifted by min(slack, 0) is feasible, and
+    a sums to 1.
     """
     n = Cs.shape[0]
-    if slack is None:
-        P = np.array(pot)
-        R = Cs - P[:n, None] - P[None, n:]
-        slack = R.item(R.argmin())
     dual = _dot(a.tolist(), pot[:n]) + _dot(b.tolist(), pot[n:])
     gap = abs(dual - _dot(flow, [Cs.item(i, j) for i, j in zip(rows, cols)]))
     if slack < -_CERT_TOL or gap > _CERT_TOL:
@@ -537,19 +521,8 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportResul
         return _product_plan(mu, nu, p, D, "simplex")
     C = _cost_matrix(D, p)
 
-    if n == m == 2:
-        res = _two_by_two(mu, nu, p, C)
-        if res is not None:
-            return res
-    if mu.dim == 1:
-        # sorted supports make the northwest start optimal for the convex cost
-        # |x-y|^p, so the line goes to the certificate unpriced; a positive
-        # distance that DIST_CLAMP zeroed can break that order, and then it prices
-        try:
-            return _certified_plan(mu, nu, p, C, False)
-        except NumericalInconsistency:
-            pass
-    return _certified_plan(mu, nu, p, C, True)
+    res = _two_by_two(mu, nu, p, C) if n == m == 2 else None
+    return _certified_plan(mu, nu, p, C) if res is None else res
 
 
 def _two_by_two(mu, nu, p, C) -> TransportResult | None:
@@ -586,12 +559,11 @@ def _two_by_two(mu, nu, p, C) -> TransportResult | None:
     return _certified(mu, nu, p, C, Cs, scale, rows, cols, flow, [0.0, u1, v0, v1], slack)
 
 
-def _certified_plan(mu, nu, p, C, price: bool) -> TransportResult:
+def _certified_plan(mu, nu, p, C) -> TransportResult:
     """The simplex plan for the cost C, checked and certified on C scaled to unit maximum."""
     scale = C.item(C.argmax())
     Cs = C / scale if scale > 0.0 else C
-    return _certified(mu, nu, p, C, Cs, scale,
-                      *_simplex_basis(Cs, mu.weights, nu.weights, price))
+    return _certified(mu, nu, p, C, Cs, scale, *_simplex_basis(Cs, mu.weights, nu.weights))
 
 
 def _certified(mu, nu, p, C, Cs, scale, rows, cols, flow, pot, slack) -> TransportResult:

@@ -89,15 +89,23 @@ class Report:
     expected_ok: bool = True
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number's value; NaN, Infinity and -Infinity, and overflows such as 1e999, refused."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return x
+
+
 def read_json(path):
     """Parse a JSON file; IoError when it cannot be read, ParseError when malformed."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes()  # json decodes it, so a bad encoding is a ValueError
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ParseError(f"{path}: {exc}") from exc
 
 

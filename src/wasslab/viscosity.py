@@ -40,7 +40,6 @@ from .measure_fields import (  # noqa: F401
     LiftedField,
     MeasureField,
     RayBusemannField,
-    inf_of_fields,
     lift,
     lifted_ray,
     measure_field_from_config,

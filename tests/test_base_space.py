@@ -10,7 +10,6 @@ from wasslab.base_space import (
     DistanceField,
     MinField,
     base_field_from_config,
-    min_combine,
 )
 from wasslab.errors import DomainError, EmptyCollection, UnsupportedField
 
@@ -19,8 +18,8 @@ def test_ray_eval_examples():
     r = BaseRay(np.zeros(2), np.array([1.0, 0.0]))
     assert np.allclose(r.eval(5.0), [5.0, 0.0])
     assert np.allclose(r.eval(0.0), [0.0, 0.0])
-    r2 = BaseRay(np.array([1.0]), np.array([-1.0]), speed=2.0)
-    assert np.allclose(r2.eval(3.0), [-5.0])
+    r2 = BaseRay(np.array([1.0]), np.array([-1.0]))
+    assert np.allclose(r2.eval(3.0), [-2.0])
     with pytest.raises(DomainError):
         r.eval(-0.1)
 
@@ -36,8 +35,6 @@ def test_ray_direction_renormalized_or_rejected():
     assert abs(np.linalg.norm(r.direction) - 1.0) <= 1e-12
     with pytest.raises(DomainError):
         BaseRay(np.zeros(1), np.array([1.1]))
-    with pytest.raises(DomainError):
-        BaseRay(np.zeros(1), np.array([1.0]), speed=0.0)
 
 
 def test_frozen_arrays_are_copies_of_the_callers():
@@ -57,10 +54,9 @@ def test_ray_additivity_invariant():
     for _ in range(100):
         d = int(rng.integers(1, 4))
         v = rng.normal(size=d)
-        ray = BaseRay(rng.uniform(-3, 3, d), v / np.linalg.norm(v),
-                      speed=float(rng.uniform(0.5, 2.0)))
+        ray = BaseRay(rng.uniform(-3, 3, d), v / np.linalg.norm(v))
         s, t = np.sort(rng.uniform(0, 100, 2))
-        gap = np.linalg.norm(ray.eval(t) - ray.eval(s)) - (t - s) * ray.speed
+        gap = np.linalg.norm(ray.eval(t) - ray.eval(s)) - (t - s)
         assert abs(gap) <= 1e-12
 
 
@@ -117,18 +113,21 @@ def test_multi_anchor_distance_field_has_no_global_ray():
         u.negative_gradient_ray([0.9, 1.0])
 
 
-def test_min_combine_basics():
-    b = BusemannField(np.array([1.0]))
-    assert min_combine([b]) is b
-    m = min_combine([BusemannField(np.array([1.0])), BusemannField(np.array([-1.0]))])
+def test_min_field_basics_and_the_configs_single_member_passes_through():
+    one = base_field_from_config({"variant": "min", "fields": [
+        {"variant": "busemann", "direction": [1.0], "offset": 0.5}]})
+    assert type(one) is BusemannField and one.offset == 0.5
+    m = MinField((BusemannField(np.array([1.0])), BusemannField(np.array([-1.0]))))
     assert m.evaluate([0.0]) == 0.0
     with pytest.raises(EmptyCollection):
-        min_combine([])
+        MinField(())
+    with pytest.raises(EmptyCollection):
+        base_field_from_config({"variant": "min", "fields": []})
 
 
-def test_min_combine_one_lipschitz_probe():
+def test_min_field_one_lipschitz_probe():
     rng = np.random.default_rng(4)
-    m = min_combine([BusemannField(np.array([1.0])), BusemannField(np.array([-1.0]))])
+    m = MinField((BusemannField(np.array([1.0])), BusemannField(np.array([-1.0]))))
     worst = 0.0
     for _ in range(100):
         x, y = rng.uniform(-10, 10, 2)
@@ -138,13 +137,13 @@ def test_min_combine_one_lipschitz_probe():
     assert worst <= 1.0 + 1e-9
 
 
-def test_min_combine_associative_exactly():
+def test_min_field_associative_exactly():
     rng = np.random.default_rng(5)
     A = BusemannField(np.array([0.6, 0.8]), 0.1)
     B = BusemannField(np.array([-0.8, 0.6]), -0.4)
     C = BusemannField(np.array([0.0, 1.0]), 0.9)
-    left = min_combine([A, min_combine([B, C])])
-    right = min_combine([min_combine([A, B]), C])
+    left = MinField((A, MinField((B, C))))
+    right = MinField((MinField((A, B)), C))
     for _ in range(50):
         x = rng.uniform(-6, 6, 2)
         assert left.evaluate(x) == right.evaluate(x)

@@ -374,18 +374,20 @@ def test_line_plan_is_the_quantile_coupling(pair, p):
 
 @st.composite
 def _planar_instance(draw):
-    """Unit-scaled cost and weights of 2..12 distinct grid atoms a side in the plane.
+    """Unit-scaled cost and weights of 2..12 distinct grid atoms a side, in d = 1 or 2.
 
     Uniform weights and grid distances make most pivots degenerate, which
     the strongly feasible leaving rule must get through; random weights make
-    them mostly move mass.
+    them mostly move mass. On the line the northwest start is optimal, so
+    the first pricing returns it as built.
     """
     uniform = draw(st.booleans())
     p = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    grid = st.tuples(st.integers(0, 15)) if draw(st.booleans()) else st.tuples(
+        st.integers(0, 3), st.integers(0, 3))
 
     def measure(n):
-        x = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                          min_size=n, max_size=n, unique=True))
+        x = draw(st.lists(grid, min_size=n, max_size=n, unique=True))
         w = np.full(n, 1.0) if uniform else np.array(
             draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
         return validate_measure(np.array(x, dtype=float), w / w.sum())
@@ -399,7 +401,7 @@ def _planar_instance(draw):
 def test_pivoted_basis_is_a_spanning_tree_with_tight_potentials(instance):
     Cs, a, b = instance
     n, m = Cs.shape
-    rows, cols, flow, pot, slack = ot_exact._simplex_basis(Cs, a, b, True)
+    rows, cols, flow, pot, slack = ot_exact._simplex_basis(Cs, a, b)
     u, v = np.array(pot[:n]), np.array(pot[n:])
     assert len(set(zip(rows, cols))) == len(rows) == n + m - 1
     reached, todo = {0}, [0]  # n+m-1 distinct cells reaching every node form a tree
@@ -430,16 +432,6 @@ def test_every_route_is_certified(monkeypatch):
         with pytest.raises(NumericalInconsistency, match="refused"):
             wasserstein_exact(mu, nu, 2.0)
     assert not ot_exact._memo
-
-
-def _general_route(mu, nu, p, C):
-    """A solve by the simplex alone: the line's unpriced staircase first, as `_solve` takes it."""
-    if mu.dim == 1:
-        try:
-            return ot_exact._certified_plan(mu, nu, p, C, False)
-        except NumericalInconsistency:
-            pass
-    return ot_exact._certified_plan(mu, nu, p, C, True)
 
 
 @st.composite
@@ -477,7 +469,7 @@ def test_two_by_two_route_is_the_simplex_bit_for_bit(instance):
     mu, nu, p = instance
     assume(mu.n_atoms == nu.n_atoms == 2)
     C = ot_exact._cost_matrix(ot_exact._distance_matrix(mu.support, nu.support), p)
-    expected = _general_route(mu, nu, p, C)
+    expected = ot_exact._certified_plan(mu, nu, p, C)  # the simplex alone
     bases = []
     basis = ot_exact._simplex_basis
     with pytest.MonkeyPatch.context() as mp:
@@ -503,19 +495,16 @@ def test_two_by_two_instances_take_both_routes():
 
 def test_line_prices_when_the_clamp_breaks_the_monotone_order():
     # x2 and y1 lie 5e-13 apart, which DIST_CLAMP zeroes; on the clamped cost
-    # the northwest start fails its certificate, so the solve prices instead
+    # the northwest start is not optimal, so the solve pivots away from it
     mu = validate_measure([[0.0], [1e-11]], [0.5, 0.5])
     nu = validate_measure([[1.05e-11], [2e-11]], [0.5, 0.5])
     C = np.abs(mu.support - nu.support.T)
     C[C < ot_exact.DIST_CLAMP] = 0.0
-    Cs = C / C.max()
-    rows, cols, flow, pot, slack = ot_exact._simplex_basis(Cs, mu.weights, nu.weights, False)
-    assert slack is None  # unpriced: the certificate prices the potentials itself
-    with pytest.raises(NumericalInconsistency, match="certificate"):
-        ot_exact._certify(Cs, mu.weights, nu.weights, pot, rows, cols, flow, slack)
+    staircase = 0.5 * (C[0, 0] + C[1, 1])  # the tie closes row 0 on the diagonal
+    assert ot_exact._two_by_two(mu, nu, 1.0, C) is None
     res = wasserstein_exact(mu, nu, 1.0)
     assert res.cost == pytest.approx(brute_force_oracle(mu, nu, 1.0).cost, rel=1e-12)
-    assert res.cost < np.sum(np.array(flow) * C[rows, cols])
+    assert res.cost < staircase
 
 
 def test_line_500_atoms_matches_quantile_oracle():
@@ -575,10 +564,10 @@ def test_certificate_rejects_a_non_optimal_basis(monkeypatch):
     assert abs(wasserstein_exact(mu, nu, 1.0).value - 1.0) <= 1e-12
 
     # on a zero cost the northwest start is optimal, so the simplex returns it as built
-    rows, cols, flow, _, _ = ot_exact._simplex_basis(np.zeros((2, 2)), mu.weights, nu.weights, True)
+    rows, cols, flow, _, _ = ot_exact._simplex_basis(np.zeros((2, 2)), mu.weights, nu.weights)
     assert [rows, cols, flow] == [x.tolist() for x in northwest_2x2()]
 
-    def northwest_tree(C, a, b, price):
+    def northwest_tree(C, a, b):
         v0 = C[0, 0]
         u1 = C[1, 0] - v0
         pot = [0.0, u1, v0, C[1, 1] - u1]  # tight on the tree's three cells
@@ -640,9 +629,9 @@ def test_memo_never_stores_a_raise(monkeypatch):
     assert not ot_exact._memo
     basis = ot_exact._simplex_basis
 
-    def non_optimal_tree(C, a, b, price):  # unpriced, so the certificate prices it
-        rows, cols, flow, pot, _ = basis(C, a, b, price)
-        return rows, cols, flow, [0.0] * len(pot), None
+    def non_optimal_tree(C, a, b):  # zero potentials: slack min(C) >= 0, but a duality gap
+        rows, cols, flow, pot, _ = basis(C, a, b)
+        return rows, cols, flow, [0.0] * len(pot), C.min()
     monkeypatch.setattr(ot_exact, "_simplex_basis", non_optimal_tree)
     for _ in range(2):
         with pytest.raises(NumericalInconsistency, match="certificate"):

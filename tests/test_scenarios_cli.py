@@ -266,6 +266,8 @@ def _malformed_inputs(tmp_path):
     measures = _write_measures(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'\xff\xfe\xff{"a": 1}')
     no_field = tmp_path / "no_field.json"
     no_field.write_text(json.dumps({"omega": {"support": [[0.0]], "weights": [1.0]}}))
     no_base = tmp_path / "no_base.json"
@@ -339,13 +341,26 @@ def _malformed_inputs(tmp_path):
     }
     for name, (_, cfg) in nan_entries.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    # not JSON numbers: a unit-slope field with offset NaN is unit-slope by construction
+    not_numbers = {
+        "value-nan": {"field": {"kind": "constant", "value": math.nan},
+                      "omega": {"support": [[0.0]], "weights": [1.0]}},
+        "offset-nan": dict(unit_slope, field={"kind": "lifted", "base": {
+            "variant": "busemann", "direction": [1.0], "offset": math.nan}}),
+    }
+    for name, cfg in not_numbers.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    overflow = tmp_path / "value-overflow.json"
+    overflow.write_text('{"field": {"kind": "constant", "value": 1e999},'
+                        ' "omega": {"support": [[0.0]], "weights": [1.0]}}')
     # a 2-d base field against a 1-d omega
     dim_mismatch = tmp_path / "dim_mismatch.json"
     dim_mismatch.write_text(json.dumps(dict(unit_slope, field=busemann["field"])))
     return {
         **{f"check-viscosity-{name}": ["check-viscosity", str(tmp_path / f"{name}.json")]
-           for name in configs},
+           for name in [*configs, *not_numbers, "value-overflow"]},
         "busemann-bad-json": ["busemann", str(bad)],
+        "busemann-not-utf8": ["busemann", str(not_utf8)],
         "busemann-missing-file": ["busemann", str(tmp_path / "missing.json")],
         "check-viscosity-no-field": ["check-viscosity", str(no_field)],
         "check-viscosity-no-base": ["check-viscosity", str(no_base)],
@@ -374,7 +389,7 @@ def _malformed_inputs(tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "busemann-bad-json", "busemann-missing-file", "check-viscosity-no-field",
+    "busemann-bad-json", "busemann-not-utf8", "busemann-missing-file", "check-viscosity-no-field",
     "check-viscosity-no-base", "check-viscosity-omega-no-support",
     "check-viscosity-int-field", "check-viscosity-list-omega",
     "check-viscosity-support-string", "check-viscosity-members-int",
@@ -389,6 +404,7 @@ def _malformed_inputs(tmp_path):
     "acceptance-no-match", "busemann-t_max-nan", "busemann-tol-nan",
     "descend-epsilon-nan", "descend-step_length-nan", "check-viscosity-radii-nan",
     "check-viscosity-dim-mismatch", "descend-dim-mismatch", "check-viscosity-field-p-half",
+    "check-viscosity-value-nan", "check-viscosity-offset-nan", "check-viscosity-value-overflow",
 ])
 def test_cli_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert main(_malformed_inputs(tmp_path)[case]) == 2

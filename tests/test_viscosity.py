@@ -12,7 +12,6 @@ from wasslab.base_space import (
     CustomField,
     DistanceField,
     MinField,
-    min_combine,
 )
 from wasslab.discrete_measure import (
     MeasureSetSequence,
@@ -37,13 +36,13 @@ from wasslab.viscosity import (
     DescentPolyline,
     DistanceToField,
     InfField,
+    LiftedField,
     MeasureField,
     RayBusemannField,
     dlg_test,
     drop_json,
     global_slope_estimate,
     greedy_descent,
-    inf_of_fields,
     lift,
     lifted_ray,
     lipschitz_probe,
@@ -80,7 +79,7 @@ def test_lift_requires_unit_lipschitz():
 
 def test_eval_field_variants():
     assert DistanceToField(dirac([0.0]), 0.0, 2.0).evaluate(dirac([3.0])) == 3.0
-    assert inf_of_fields([ConstantField(5.0), ConstantField(2.0)]).evaluate(dirac([0.0])) == 2.0
+    assert InfField([ConstantField(5.0), ConstantField(2.0)]).evaluate(dirac([0.0])) == 2.0
     # distance field of the escaping family at n=10, evaluated at delta_1
     from wasslab.scenarios import escaping_mixture
 
@@ -109,7 +108,7 @@ def test_lipschitz_probe_battery_all_variants():
     dist = DistanceToField(dirac([0.0, 0.0]), 0.0, 2.0)
     assert lipschitz_probe(dist, pairs_2d) <= 1.0 + 1e-9
 
-    inf_field = inf_of_fields([lifted, DistanceToField(dirac([2.0, 2.0]), 1.0, 2.0)])
+    inf_field = InfField([lifted, DistanceToField(dirac([2.0, 2.0]), 1.0, 2.0)])
     assert lipschitz_probe(inf_field, pairs_2d) <= 1.0 + 1e-9
 
     # estimator-backed variants: pin the truncation so both endpoints of a
@@ -151,8 +150,8 @@ def test_global_slope_corrected_one_sided_field():
 def test_slope_dichotomy():
     rng = np.random.default_rng(2)
     lifted = lift(MinField((BusemannField(E1), BusemannField(E2, 0.4))), 2.0)
-    inf_field = inf_of_fields([lift(BusemannField(E1), 2.0),
-                               lift(BusemannField(E2, 0.2), 2.0)])
+    inf_field = InfField([lift(BusemannField(E1), 2.0),
+                          lift(BusemannField(E2, 0.2), 2.0)])
     for U in (lifted, inf_field):
         for _ in range(4):
             omega = random_measure(rng, 4, 2, box=3.0)
@@ -223,7 +222,7 @@ def test_sphere_test_witnesses_replay():
 
 
 def test_sphere_test_inf_with_bottomless_constant_fails():
-    U = inf_of_fields([lift(BusemannField(E1), 2.0), ConstantField(-1e6, 2.0)])
+    U = InfField([lift(BusemannField(E1), 2.0), ConstantField(-1e6, 2.0)])
     res = viscosity_sphere_test(U, dirac([0.0, 0.0]), radii=(1.0, 0.5), rng=8)
     assert res.verdict == "FAIL"
 
@@ -367,8 +366,8 @@ def test_a_stall_names_its_refuter():
 
 def test_greedy_descent_min_locus_switch_keeps_inequality():
     # descent of a two-horizon minimum crosses the switching locus
-    U = inf_of_fields([lift(BusemannField(E1), 2.0),
-                       lift(BusemannField(-E1, 1.0), 2.0)])
+    U = InfField([lift(BusemannField(E1), 2.0),
+                  lift(BusemannField(-E1, 1.0), 2.0)])
     omega = dirac([0.4, 0.0])
     poly = greedy_descent(U, omega, eps=0.5, steps=6, step_length=1.0, rng=12)
     assert poly.check_inequality()
@@ -431,14 +430,13 @@ def test_dlg_to_dlc_consistency():
     assert abs(value - U.evaluate(omega)) <= 1e-6
 
 
-def test_inf_of_fields_contracts():
+def test_inf_field_contracts_and_the_configs_single_member_passes_through():
     U = lift(BusemannField(E1), 2.0)
-    assert inf_of_fields([U]) is U
+    lifted = {"kind": "lifted", "base": {"variant": "busemann", "direction": [1.0, 0.0]}}
+    one = measure_field_from_config({"kind": "inf", "members": [lifted]})
+    assert type(one) is LiftedField and one.base.direction.tolist() == [1.0, 0.0]
     with pytest.raises(EmptyCollection):
-        inf_of_fields([])
-    with pytest.raises(DomainError):
-        inf_of_fields([U, ConstantField(0.0, 3.0)])
-    # the type owns both checks, so a direct construction makes them too
+        measure_field_from_config({"kind": "inf", "members": []})
     with pytest.raises(EmptyCollection):
         InfField(())
     with pytest.raises(DomainError, match="exponent"):
@@ -518,7 +516,7 @@ def _busemann_min(draw):
     """The lift of a minimum of 1-3 Busemann fields in the plane: a true unit-slope field."""
     members = [BusemannField(draw(_UNIT), draw(st.floats(-1.0, 1.0)))
                for _ in range(draw(st.integers(1, 3)))]
-    return lift(min_combine(members), 2.0)
+    return lift(MinField(members), 2.0)
 
 
 def _verdicts(U, omega, seed):
@@ -569,8 +567,8 @@ def test_a_busemann_field_of_slope_below_one_never_passes(c, direction, offset, 
 def test_translating_omega_and_field_keeps_the_verdicts(kind, U, omega, v, seed):
     v = np.array(v)
     if kind == "busemann":
-        moved = lift(min_combine([BusemannField(f.direction, f.offset + float(v @ f.direction))
-                                  for f in getattr(U.base, "fields", (U.base,))]), 2.0)
+        moved = lift(MinField([BusemannField(f.direction, f.offset + float(v @ f.direction))
+                               for f in getattr(U.base, "fields", (U.base,))]), 2.0)
     elif kind == "constant":
         U = moved = ConstantField(1.0, 2.0)
     else:
@@ -580,8 +578,8 @@ def test_translating_omega_and_field_keeps_the_verdicts(kind, U, omega, v, seed)
 
 def test_inf_of_lifted_passes_sphere_at_many_points():
     rng = np.random.default_rng(15)
-    U = inf_of_fields([lift(BusemannField(E1), 2.0),
-                       lift(BusemannField(E2, 0.5), 2.0)])
+    U = InfField([lift(BusemannField(E1), 2.0),
+                  lift(BusemannField(E2, 0.5), 2.0)])
     for _ in range(10):
         omega = random_measure(rng, 4, 2, box=3.0)
         res = viscosity_sphere_test(U, omega, eps=1e-3, budget=4, rng=rng)
@@ -684,7 +682,7 @@ def test_the_floor_changes_no_verdict_output(solves, monkeypatch, seed):
     far = random_measure(rng, 4, 2, box=1.0).translate([5.0, 0.0])
     near = random_measure(rng, 3, 2, box=0.2).translate(omega.support.mean(axis=0) + [0.6, 0.0])
     fields = [DistanceToField(far), DistanceToField(near, 0.3),
-              inf_of_fields([DistanceToField(far), DistanceToField(near, 0.3)])]
+              InfField([DistanceToField(far), DistanceToField(near, 0.3)])]
     with_floor = [_reader_results(U, omega, seed) for U in fields]
     read = len(solves)
     solves.clear()

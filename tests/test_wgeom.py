@@ -14,7 +14,6 @@ from wasslab.base_space import (
     CustomField,
     DistanceField,
     MinField,
-    min_combine,
 )
 from wasslab.discrete_measure import (
     MeasureSetSequence,
@@ -43,7 +42,6 @@ from wasslab.wgeom import (
     dlc_limit,
     sphere_candidates,
     sphere_sample,
-    wasserstein_ray,
 )
 
 
@@ -100,19 +98,6 @@ def test_path_domain_and_flags():
     assert degen.eval(0.0) is mu
     with pytest.raises(DomainError):
         degen.eval(0.5)
-
-
-def test_wasserstein_ray_construction_checks():
-    base = validate_measure([[0.0], [1.0]], [0.5, 0.5])
-    good = wasserstein_ray(base, (BaseRay(np.array([0.0]), np.array([1.0])),
-                                  BaseRay(np.array([1.0]), np.array([1.0]))), 2.0)
-    assert wasserstein_exact(good.eval(0.0), good.eval(3.0), 2.0).value == pytest.approx(3.0, abs=1e-10)
-    # atoms moving toward each other are not a unit-speed ray
-    with pytest.raises(InvalidRay):
-        wasserstein_ray(base, (BaseRay(np.array([0.0]), np.array([1.0])),
-                               BaseRay(np.array([1.0]), np.array([-1.0]))), 2.0)
-    with pytest.raises(InvalidRay):
-        WassersteinRay(base, np.array([[0.0], [1.0]]), np.array([[1.0], [2.0]]), 2.0)
 
 
 def test_busemann_own_ray_is_zero():
@@ -441,6 +426,15 @@ def test_cs_diagnostic_errors():
         cs_diagnostic(lambda n: escaping_mixture(n + 2, 2.0), sigma=1.0,
                       omega0=dirac([0.0]), N=2, eps=0.1, K=3, p=2.0)
 
+    def never(n):
+        raise AssertionError("the sequence was read")
+    # N=4.5 once raised a bare TypeError, K=2.5 passed and eps=nan gave FAIL
+    for bad in ({"N": 4.5}, {"N": math.nan}, {"K": 2.5}, {"K": math.inf},
+                {"eps": math.nan}, {"eps": -0.1}):
+        with pytest.raises(DomainError):
+            cs_diagnostic(never, sigma=1.0, omega0=dirac([0.0]), p=2.0,
+                          **{"N": 6, "K": 3, "eps": 0.1, **bad})
+
 
 def test_dlc_limit_matches_busemann_on_rays():
     omega = validate_measure([[0.0, 0.1], [0.3, -0.1]], [0.5, 0.5])
@@ -479,6 +473,10 @@ def test_dlc_limit_errors():
     seq = MeasureSetSequence(lambda n: [omega], lambda n: 0.0)
     with pytest.raises(DomainError):
         dlc_limit(seq, omega, 2.0, n_max=1)
+    for n_max in (math.nan, math.inf, 16.5, "16"):  # nan once raised a bare IndexError
+        with pytest.raises(DomainError, match="n_max"):
+            dlc_limit(seq, omega, 2.0, n_max=n_max)
+    assert dlc_limit(seq, omega, 2.0, n_max=16.0) == dlc_limit(seq, omega, 2.0, n_max=16)
 
 
 def test_path_eval_at_arc_length():
@@ -508,23 +506,13 @@ def test_every_ray_construction_refuses_count_dimension_and_speed():
     with pytest.raises(InvalidRay):
         WassersteinRay(base, np.zeros((2, 1)), np.array([[1.0], [math.nan]]), 2.0)
     with pytest.raises(InvalidRay):
-        wasserstein_ray(base, [BaseRay(np.zeros(1), e1)], 2.0)
-    with pytest.raises(DimensionError):
-        wasserstein_ray(base, [BaseRay(np.zeros(2), np.array([1.0, 0.0]))] * 2, 2.0)
-    with pytest.raises(DimensionError):
-        wasserstein_ray(base, [BaseRay(np.zeros(1), e1), BaseRay(np.zeros(2), [1.0, 0.0])], 2.0)
-    with pytest.raises(InvalidRay):
-        wasserstein_ray(base, [BaseRay(np.zeros(1), e1, speed=2.0)] * 2, 2.0)
+        WassersteinRay(base, np.array([[0.0], [1.0]]), np.array([[1.0], [2.0]]), 2.0)
     with pytest.raises(DimensionError):
         dirac_ray([0.0], [1.0, 0.0], 2.0)
     with pytest.raises(DomainError):
         dirac_ray([0.0], [1.1], 2.0)
     with pytest.raises(DimensionError):
         lifted_ray(lift(BusemannField(np.array([1.0, 0.0])), 2.0), base)
-    fast = CustomField(lambda x: -2.0 * x[0], dim=1,
-                       ray_fn=lambda x: BaseRay(x, e1, speed=2.0))
-    with pytest.raises(InvalidRay):
-        lifted_ray(lift(fast, 2.0), base)
 
 
 def test_custom_field_rays_keep_the_origins_ray_fn_returns():
@@ -572,7 +560,7 @@ def _lifted_case(draw):
                 v = v / np.linalg.norm(v) if np.linalg.norm(v) > 0.1 else np.eye(d)[0]
             offset = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-2.0, 2.0)))
             members.append(BusemannField(v, offset))
-        u = min_combine(members)
+        u = MinField(members)
     lifted = CustomField(u.evaluate, dim=d, ray_fn=u.negative_gradient_ray) \
         if draw(st.booleans()) else u
     return omega, lifted, u
@@ -730,8 +718,8 @@ def _proven_base(draw, dim):
                                                     max_size=dim))), sign=-1)
     unit = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array).filter(
         lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
-    return min_combine([BusemannField(draw(unit), draw(st.floats(-1.0, 1.0)))
-                        for _ in range(draw(st.integers(1, 3)))])
+    return MinField([BusemannField(draw(unit), draw(st.floats(-1.0, 1.0)))
+                     for _ in range(draw(st.integers(1, 3)))])
 
 
 @_BRACKETS
@@ -746,8 +734,8 @@ def test_a_proven_base_never_drops_beyond_the_solved_distance(n, dim, p, log_sca
     if isinstance(base, DistanceField):
         base = DistanceField(scale * base.points, sign=-1)
     else:
-        base = min_combine([BusemannField(f.direction, scale * f.offset)
-                            for f in getattr(base, "fields", (base,))])
+        base = MinField([BusemannField(f.direction, scale * f.offset)
+                         for f in getattr(base, "fields", (base,))])
     U = lift(base, p)
     omega = random_measure(np.random.default_rng(seed), n, dim, box=scale, min_atoms=n)
     x, cert, value = U.at(omega).candidate(frac * scale)
