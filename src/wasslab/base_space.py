@@ -49,6 +49,27 @@ def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
+def _unit_vector(v, like: np.ndarray | None = None) -> np.ndarray:
+    """A read-only copy of v as a unit vector, checked against `like`'s shape first.
+
+    A scalar is a 1-vector. A norm within UNIT_TOL of 1 is kept as is, one
+    within UNIT_FIX is renormalized, and one farther off, or nan, is a
+    `DomainError`. The copy spares the caller's array from being frozen.
+    """
+    u = np.array(v, dtype=float)
+    if u.ndim == 0:
+        u = u.reshape(1)
+    if like is not None:
+        _same_dim(like, u)
+    norm = float(np.linalg.norm(u))
+    if not abs(norm - 1.0) <= UNIT_FIX:  # nan fails it too
+        raise DomainError(f"direction norm {norm} too far from 1 to renormalize")
+    if abs(norm - 1.0) > UNIT_TOL:
+        u = u / norm
+    u.setflags(write=False)
+    return u
+
+
 @dataclass(frozen=True, eq=False)
 class BaseRay:
     """Unit-speed ray t -> origin + t * direction, t >= 0, with a unit direction vector."""
@@ -57,19 +78,10 @@ class BaseRay:
     direction: np.ndarray
 
     def __post_init__(self):
-        # copies, so that freezing them never freezes the caller's arrays
+        # a copy, so that freezing it never freezes the caller's array
         origin = as_point(self.origin).copy()
-        direction = np.array(self.direction, dtype=float)
-        if direction.ndim == 0:
-            direction = direction.reshape(1)
-        _same_dim(origin, direction)
-        norm = float(np.linalg.norm(direction))
-        if abs(norm - 1.0) > UNIT_FIX:
-            raise DomainError(f"direction norm {norm} too far from 1 to renormalize")
-        if abs(norm - 1.0) > UNIT_TOL:
-            direction = direction / norm
+        direction = _unit_vector(self.direction, origin)
         origin.setflags(write=False)
-        direction.setflags(write=False)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "direction", direction)
 
@@ -143,16 +155,7 @@ class BusemannField(ScalarField):
     lipschitz_proven = True
 
     def __post_init__(self):
-        d = np.array(self.direction, dtype=float)  # a copy, so freezing it spares the caller's
-        if d.ndim == 0:
-            d = d.reshape(1)
-        norm = float(np.linalg.norm(d))
-        if abs(norm - 1.0) > UNIT_FIX:
-            raise DomainError(f"direction norm {norm} too far from 1 to renormalize")
-        if abs(norm - 1.0) > UNIT_TOL:
-            d = d / norm
-        d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
+        object.__setattr__(self, "direction", _unit_vector(self.direction))
         object.__setattr__(self, "offset", float(self.offset))
 
     @property
@@ -210,21 +213,11 @@ class MinField(ScalarField):
         return min(f.evaluate(x) for f in self.fields)
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        return functools.reduce(np.minimum, self.member_values(pts))
+        return functools.reduce(np.minimum, [f.evaluate_many(pts) for f in self.fields])
 
-    def member_values(self, pts: np.ndarray) -> list[np.ndarray]:
-        """Each member's values at the rows of pts, in member order."""
-        return [f.evaluate_many(pts) for f in self.fields]
-
-    def descent_rays(self, pts, members=None):
-        """The rays of the member attaining the minimum at each row.
-
-        `members` is `member_values(pts)` when the caller has it already.
-        Only members that attain some row's minimum are asked for rays.
-        """
-        if members is None:
-            members = self.member_values(pts)
-        pick = np.array(members).argmin(axis=0)
+    def descent_rays(self, pts):
+        """The rays of the member attaining the minimum at each row; only those are asked."""
+        pick = np.array([f.evaluate_many(pts) for f in self.fields]).argmin(axis=0)
         # the rows grouped by member, in member order, so each group is one slice
         order = pick.argsort(kind="stable")
         picked, rows = pick[order].tolist(), pts[order]

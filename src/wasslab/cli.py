@@ -53,21 +53,19 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _number(cfg: dict, key: str, default, kind=float):
-    """Config entry `key` converted by `kind`; a value of another JSON type is a ParseError.
+def _number(cfg: dict, key: str, default) -> float:
+    """Config entry `key` as a float; a value of another JSON type is a ParseError.
 
-    With `kind=int` the entry must be a whole number: 8.0 is read as 8, 8.7 is refused.
+    Counts (`budget`, `steps`) pass through too: the verdicts' `check_count`
+    refuses one that is not a whole number from 1 to `MAX_COUNT`.
     """
     value = cfg.get(key, default)
     if not is_number(value):
         raise ParseError(f"config entry {key!r} must be a number, got {value!r}")
     try:
-        out = kind(value)
-    except (OverflowError, ValueError) as exc:  # int() of inf or nan, float() of a huge int
+        return float(value)
+    except OverflowError as exc:  # a JSON integer beyond the float range
         raise ParseError(f"config entry {key!r} is out of range: {value!r}") from exc
-    if kind is int and out != value:  # int() would truncate
-        raise ParseError(f"config entry {key!r} must be a whole number, got {value!r}")
-    return out
 
 
 def _numbers(cfg: dict, key: str, default) -> tuple:
@@ -145,7 +143,7 @@ def _cmd_slope(args) -> int:
     omega = _measure(cfg, "omega")
     local = local_slope_estimate(U, omega,
                                  radii=_numbers(cfg, "radii", (1.0, 0.5, 0.25)),
-                                 budget=_number(cfg, "budget", 8, int), rng=args.seed)
+                                 budget=_number(cfg, "budget", 8), rng=args.seed)
     out = {"op": "slope", "local": local.value}
     if "dictionary" in cfg:
         if not isinstance(cfg["dictionary"], list):
@@ -160,7 +158,7 @@ def _cmd_check_viscosity(args) -> int:
     cfg = _load_config(args.config)
     U = _field(cfg, args.p)
     omega = _measure(cfg, "omega")
-    budget = _number(cfg, "budget", 8, int)
+    budget = _number(cfg, "budget", 8)
     res = viscosity_sphere_test(U, omega, radii=_numbers(cfg, "radii", (1.0, 0.5, 0.1)),
                                 eps=_number(cfg, "eps", 1e-3), budget=budget, rng=args.seed)
     # both verdicts run before either prints, so bad levels leave stdout empty
@@ -180,9 +178,9 @@ def _cmd_descend(args) -> int:
     try:
         poly = greedy_descent(U, _measure(cfg, "omega"),
                               eps=_number(cfg, "epsilon", 1e-2),
-                              steps=_number(cfg, "steps", 20, int),
+                              steps=_number(cfg, "steps", 20),
                               step_length=_number(cfg, "step_length", 1.0),
-                              budget=_number(cfg, "budget", 8, int), rng=args.seed)
+                              budget=_number(cfg, "budget", 8), rng=args.seed)
     except DescentStalled as exc:
         _print_json({"op": "descend", "stalled_at_step": exc.step,
                      "best_gap": gap_json(exc.best_gap), "refuter": drop_json(exc.refuter)})

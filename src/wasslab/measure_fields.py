@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
-from .base_space import MinField, ScalarField, base_field_from_config
+from .base_space import ScalarField, base_field_from_config
 from .discrete_measure import DiscreteMeasure, check_exponent, validate_measure
 from .errors import (
     DimensionError,
@@ -125,34 +125,25 @@ class LiftedField(MeasureField):
 
 
 class _LiftedPoint(BasePoint):
-    """The lifted descent ray from omega, built on the first candidate.
+    """The base field's descent rays through omega's atoms, taken on the first candidate.
 
-    A minimum's members are evaluated on omega's support once, and U(omega)
-    and the ray's pick of a member per atom share those values.
+    `rays` is the (origins, directions) pair of `descent_rays` on omega's
+    support, and the candidate at arc length t moves each atom to
+    origin + t * direction.
     """
 
     @cached_property
-    def members(self) -> list[np.ndarray] | None:
-        """A `MinField` base's `member_values` on omega's support; None for other bases."""
+    def rays(self) -> tuple[np.ndarray, np.ndarray]:
         U = self.field
         U._check_dim(self.omega)
-        return U.base.member_values(self.omega.support) if isinstance(U.base, MinField) else None
-
-    @cached_property
-    def value(self) -> float:
-        if self.members is None:
-            return self.field.evaluate(self.omega)
-        return float(np.dot(self.omega.weights, reduce(np.minimum, self.members)))
-
-    @cached_property
-    def ray(self) -> WassersteinRay:
-        return lifted_ray(self.field, self.omega, self.members)
+        return U.base.descent_rays(self.omega.support)
 
     def candidate(self, t):
         U = self.field
         if not U.base.has_analytic_rays:
             return None
-        rows = self.ray.rows(t)
+        origins, directions = self.rays
+        rows = origins + t * directions
         x = validate_measure(rows, self.omega.weights)
         value = U.evaluate(x)
         # a shift bracket, tight when every atom moves the same way; a base that is
@@ -304,18 +295,12 @@ def lift(u: ScalarField, p: float = 2.0) -> LiftedField:
     return LiftedField(u, p)
 
 
-def lifted_ray(U: MeasureField, omega: DiscreteMeasure, members=None) -> WassersteinRay:
-    """Per-atom descent ray of a lifted field; exact unit-rate value drop.
-
-    `members` is `U.base.member_values(omega.support)` when the caller has
-    it already, for a `MinField` base.
-    """
+def lifted_ray(U: MeasureField, omega: DiscreteMeasure) -> WassersteinRay:
+    """Per-atom descent ray of a lifted field; exact unit-rate value drop."""
     if not isinstance(U, LiftedField):
         raise UnsupportedField(f"{type(U).__name__} has no lifted descent ray")
     U._check_dim(omega)
-    if members is None:
-        return WassersteinRay(omega, *U.base.descent_rays(omega.support), U.p)
-    return WassersteinRay(omega, *U.base.descent_rays(omega.support, members), U.p)
+    return WassersteinRay(omega, *U.base.descent_rays(omega.support), U.p)
 
 
 def measure_field_from_config(cfg: dict, default_p: float = 2.0) -> MeasureField:

@@ -32,12 +32,10 @@ supply of the subtree below it; a start that no pivot changed needs no
 sort. The tree's potentials (u, v) must certify the plan: u_i + v_j <= C_ij
 on every cell and a.u + b.v equal to the plan's cost, both on the
 unit-scaled cost matrix. A failed certificate raises
-`NumericalInconsistency`. The bound the potentials prove, a.u + b.v plus
-the dual slack where it is negative, is rescaled and returned as the
-result's `cost_lower`; a product plan, the only coupling of a Dirac, is its
-own bound. The target-side potentials v, rescaled to the cost, come back
-as the result's `psi`, from which `dual_floor` bounds W_p(x, target) from
-below for any x, exactly at x = mu.
+`NumericalInconsistency`. The target-side potentials v, rescaled to the
+cost, come back as the result's `psi`, from which `dual_floor` bounds
+W_p(x, target) from below for any x, exactly at x = mu; that is the one
+lower-bound rule.
 
 Numpy does the work on the whole matrix: the distance and cost matrices
 and their scaling, and pricing. The last pricing of a solve already priced
@@ -175,19 +173,12 @@ class TransportResult:
     plan: Coupling
     solver: str    # "simplex" | "quantile1d" | "bruteforce"
     p: float
-    cost_lower: float = 0.0  # certified lower bound on the optimal cost, at most `cost`
     psi: tuple | None = None  # certified target-side potentials on the cost scale; None: oracle
 
-    def __init__(self, value, cost, plan, solver, p, cost_lower=0.0, psi=None):
+    def __init__(self, value, cost, plan, solver, p, psi=None):
         d = self.__dict__
-        d["value"], d["cost"], d["plan"], d["solver"], d["p"], d["cost_lower"], d["psi"] = (
-            value, cost, plan, solver, p, cost_lower, psi)
-
-    @property
-    def lower(self) -> float:
-        """Certified lower bound on W_p, at most `value`: the p-th root of `cost_lower`."""
-        lo = max(self.cost_lower, 0.0)
-        return min(lo if self.p == 1.0 else lo ** (1.0 / self.p), self.value)
+        d["value"], d["cost"], d["plan"], d["solver"], d["p"], d["psi"] = (
+            value, cost, plan, solver, p, psi)
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,19 +217,14 @@ def _value(cost: float, p: float) -> float:
     return 0.0 if value < VALUE_CLAMP else value
 
 
-def _finish(mu, nu, p, rows, cols, masses, cost, solver, lower=None, psi=None) -> TransportResult:
-    """The result on the plan's cells with positive mass; rows, cols, masses are lists.
-
-    `lower` bounds the optimal cost from below; None means the plan is
-    optimal by construction, so its cost is the bound.
-    """
+def _finish(mu, nu, p, rows, cols, masses, cost, solver, psi=None) -> TransportResult:
+    """The result on the plan's cells with positive mass; rows, cols, masses are lists."""
     if min(masses) <= 0.0:
         rows, cols, masses = zip(*[c for c in zip(rows, cols, masses) if c[2] > 0.0])
     _check_marginals(rows, cols, masses, mu.weights.tolist(), nu.weights.tolist())
     plan = Coupling(mu, nu, np.array(rows), np.array(cols), np.array(masses))
     cost = max(float(cost), 0.0)
-    lower = cost if lower is None or lower > cost else lower
-    return TransportResult(_value(cost, p), cost, plan, solver, p, lower, psi)
+    return TransportResult(_value(cost, p), cost, plan, solver, p, psi)
 
 
 def _product_cost(a, b, D, p) -> tuple[np.ndarray, np.ndarray, float]:
@@ -262,7 +248,7 @@ def _product_plan(mu, nu, p, D, solver) -> TransportResult:
     w, c, cost = _product_cost(mu.weights, nu.weights, D, p)
     rows, cols = ([0] * m, list(range(m))) if n == 1 else (list(range(n)), [0] * n)
     psi = (tuple(c.tolist()) if n == 1 else (0.0,)) if solver == "simplex" else None
-    return _finish(mu, nu, p, rows, cols, w.tolist(), cost, solver, None, psi)
+    return _finish(mu, nu, p, rows, cols, w.tolist(), cost, solver, psi)
 
 
 def dirac_value(mu: DiscreteMeasure, z: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -455,16 +441,14 @@ def _simplex_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     raise SolverStalled(f"simplex exceeded {cap} pivots on a {n}x{m} instance")
 
 
-def _certify(Cs, a, b, pot, rows, cols, flow, slack) -> float:
+def _certify(Cs, a, b, pot, rows, cols, flow, slack) -> None:
     """Raise unless the potentials `pot` prove the plan optimal for the unit-scaled cost Cs.
 
     Dual feasibility (u_i + v_j <= Cs_ij on every cell, u = pot[:n] and
     v = pot[n:]) bounds every plan's cost from below by a.u + b.v; a zero
     gap to the plan's cost closes it. The slack is the least reduced cost
     over the whole matrix, which the last pricing found; the gap is taken
-    on the plan's cells. Returns the lower bound on the optimal cost of Cs
-    that the potentials prove: u shifted by min(slack, 0) is feasible, and
-    a sums to 1.
+    on the plan's cells.
     """
     n = Cs.shape[0]
     dual = _dot(a.tolist(), pot[:n]) + _dot(b.tolist(), pot[n:])
@@ -473,10 +457,9 @@ def _certify(Cs, a, b, pot, rows, cols, flow, slack) -> float:
         raise NumericalInconsistency(
             f"optimality certificate failed: dual slack {slack:.3e}, duality gap {gap:.3e}"
         )
-    return dual + slack if slack < 0.0 else dual
 
 
-# (mu key, nu key, p) -> (value, cost, cost_lower, psi, rows, cols, masses)
+# (mu key, nu key, p) -> (value, cost, psi, rows, cols, masses)
 _memo: OrderedDict = OrderedDict()
 
 
@@ -500,15 +483,14 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0) 
     entry = _memo.pop(key, None)
     if entry is not None:
         _memo[key] = entry
-        value, cost, lower, psi, rows, cols, masses = entry
+        value, cost, psi, rows, cols, masses = entry
         return TransportResult(value, cost, Coupling(mu, nu, rows, cols, masses), "simplex", p,
-                               lower, psi)
+                               psi)
     res = _solve(mu, nu, p)
     plan = res.plan
     for arr in (plan.rows, plan.cols, plan.masses):
         arr.setflags(write=False)
-    _memo[key] = (res.value, res.cost, res.cost_lower, res.psi, plan.rows, plan.cols,
-                  plan.masses)
+    _memo[key] = (res.value, res.cost, res.psi, plan.rows, plan.cols, plan.masses)
     if len(_memo) > MEMO_SIZE:
         _memo.popitem(last=False)
     return res
@@ -579,12 +561,12 @@ def _certified(mu, nu, p, C, Cs, scale, rows, cols, flow, pot, slack) -> Transpo
     # last-bit mismatch of the two weight totals carried along the tree
     flow = [f if f >= PRUNE_TOL else 0.0 for f in flow]
     n, m = Cs.shape
-    lower, psi = 0.0, (0.0,) * m
+    psi = (0.0,) * m
     if math.isfinite(scale):  # an overflowed |x-y|^p has no certificate to check
-        lower = _certify(Cs, mu.weights, nu.weights, pot, rows, cols, flow, slack) * scale
+        _certify(Cs, mu.weights, nu.weights, pot, rows, cols, flow, slack)
         psi = tuple([v * scale for v in pot[n:]])
     cost = _dot(flow, [C.item(i, j) for i, j in zip(rows, cols)])
-    return _finish(mu, nu, p, rows, cols, flow, cost, "simplex", lower, psi)
+    return _finish(mu, nu, p, rows, cols, flow, cost, "simplex", psi)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,12 @@ from .errors import (
     SequenceTooClose,
     SphereSamplingFailed,
 )
-from .ot_exact import VALUE_CLAMP, TransportResult, dirac_value, wasserstein_exact
+from .ot_exact import VALUE_CLAMP, TransportResult, dirac_value, dual_floor, wasserstein_exact
 
 _T_EDGE_TOL = 1e-12
 _MONOTONE_TOL = 1e-9
 BRACKET_TOL = 1e-12  # relative width of a bracket on W_p that stands for the distance
+MAX_COUNT = 10**6  # the largest budget, step or sample count a caller may ask for
 
 # The doubling schedule certifies only the observed increment; the tail beyond
 # the last sample is monotone but not quantitatively bounded.
@@ -139,13 +140,15 @@ class WassersteinPath:
     length: float
     degenerate: bool
     nonunique: bool
-    length_lower: float       # the solver's certified lower bound on `length`
+    length_lower: float       # `dual_floor` of the solve's potentials; an oracle's value
 
     @classmethod
     def from_result(cls, res: TransportResult) -> WassersteinPath:
         """The geodesic along a solve's optimal plan, from its source to its target."""
         plan = res.plan
         mu, nu = plan.source, plan.target
+        lower = res.value if res.psi is None else min(dual_floor(mu, nu, res.psi, res.p),
+                                                       res.value)
         return cls(
             source=mu,
             target=nu,
@@ -156,7 +159,7 @@ class WassersteinPath:
             length=res.value,
             degenerate=(res.value == 0.0),
             nonunique=(res.p == 1.0),
-            length_lower=res.lower,
+            length_lower=lower,
         )
 
     def eval(self, t: float) -> DiscreteMeasure:
@@ -423,17 +426,17 @@ def sphere_candidates(omega: DiscreteMeasure, r: float, p: float = 2.0,
 
 
 def check_count(n, name: str) -> int:
-    """n as an int if it is a whole number of at least 1, as 8.0 is 8; else `DomainError`.
+    """n as an int if it is a whole number in [1, MAX_COUNT], as 8.0 is 8; else `DomainError`.
 
-    A fractional, non-finite or non-numeric n is refused: a budget of nan
-    would keep no sample and one of inf would never stop.
+    A fractional, non-finite, non-numeric or huge n is refused: a budget of
+    nan would keep no sample, and one of inf or 1e18 would never stop.
     """
     try:
         whole = int(n)
     except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
         whole = 0
-    if whole != n or whole < 1:
-        raise DomainError(f"{name} {n!r} must be a whole number of at least 1")
+    if whole != n or not 1 <= whole <= MAX_COUNT:
+        raise DomainError(f"{name} {n!r} must be a whole number from 1 to {MAX_COUNT}")
     return whole
 
 

@@ -11,7 +11,7 @@ from wasslab.base_space import (
     MinField,
     base_field_from_config,
 )
-from wasslab.errors import DomainError, EmptyCollection, UnsupportedField
+from wasslab.errors import DimensionError, DomainError, EmptyCollection, UnsupportedField
 
 
 def test_ray_eval_examples():
@@ -35,6 +35,22 @@ def test_ray_direction_renormalized_or_rejected():
     assert abs(np.linalg.norm(r.direction) - 1.0) <= 1e-12
     with pytest.raises(DomainError):
         BaseRay(np.zeros(1), np.array([1.1]))
+
+
+@pytest.mark.parametrize("make", [lambda v: BaseRay(np.zeros(np.size(v)), v).direction,
+                                  lambda v: BusemannField(v).direction],
+                         ids=["ray", "busemann"])
+def test_a_ray_and_a_busemann_field_share_one_unit_vector_rule(make):
+    assert make(1.0).tolist() == [1.0] and make(np.array([0.6, 0.8])).tolist() == [0.6, 0.8]
+    assert abs(np.linalg.norm(make(np.array([0.0, 1.0 + 5e-10]))) - 1.0) <= 1e-12
+    for bad in (np.array([1.1]), np.array([0.0, 0.0]), np.array([math.nan, 0.0])):
+        with pytest.raises(DomainError, match="too far from 1"):
+            make(bad)
+
+
+def test_a_ray_checks_its_dimension_before_its_direction_norm():
+    with pytest.raises(DimensionError):
+        BaseRay(np.zeros(2), np.array([5.0]))
 
 
 def test_frozen_arrays_are_copies_of_the_callers():
@@ -185,7 +201,7 @@ def test_a_minimum_gives_each_row_the_ray_its_picked_member_gives_it_alone():
         u = MinField(tuple(members))
         pts = rng.normal(scale=2.0, size=(n, d))
         origins, directions = u.descent_rays(pts)
-        pick = np.array(u.member_values(pts)).argmin(axis=0)
+        pick = np.array([f.evaluate_many(pts) for f in members]).argmin(axis=0)
         for i, j in enumerate(pick):
             alone = members[j].descent_rays(pts[i:i + 1])
             assert origins[i].tobytes() == alone[0].tobytes()

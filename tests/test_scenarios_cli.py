@@ -317,8 +317,9 @@ def _malformed_inputs(tmp_path):
         "eps-one": {"field": {"kind": "constant", "value": 0.0},
                     "omega": {"support": [[0.0]], "weights": [1.0]}, "eps": 1.0},
         "levels-empty": dict(unit_slope, levels=[]),
-        # whole-number entries are not truncated
+        # whole-number entries are not truncated, and a huge one would never return
         "budget-fractional": dict(unit_slope, budget=8.7),
+        "budget-huge": dict(unit_slope, budget=1e18),
         # W_p is no metric below p = 1, so the field is refused when it is built
         "field-p-half": dict(unit_slope, field=dict(unit_slope["field"], p=0.5)),
     }
@@ -327,6 +328,8 @@ def _malformed_inputs(tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     fractional_steps = tmp_path / "fractional_steps.json"
     fractional_steps.write_text(json.dumps(dict(unit_slope, steps=2.5)))
+    huge_budget = tmp_path / "huge_budget.json"
+    huge_budget.write_text(json.dumps(dict(unit_slope, budget=1e18)))
     # nan fails every comparison, so each of these must be refused, not run
     busemann = {"field": {"kind": "lifted",
                           "base": {"variant": "busemann", "direction": [1.0, 0.0]}},
@@ -374,6 +377,7 @@ def _malformed_inputs(tmp_path):
         "wp-p-nan": ["wp", str(measures), "--p", "nan"],
         "wp-p-inf": ["wp", str(measures), "--p", "inf"],
         "descend-steps-fractional": ["descend", str(fractional_steps)],
+        "descend-budget-huge": ["descend", str(huge_budget)],
         "check-viscosity-dim-mismatch": ["check-viscosity", str(dim_mismatch)],
         "descend-dim-mismatch": ["descend", str(dim_mismatch)],
         "geodesic-i-too-large": ["geodesic", str(measures), "--i", "9"],
@@ -398,6 +402,7 @@ def _malformed_inputs(tmp_path):
     "check-viscosity-levels-empty", "check-viscosity-p-string",
     "check-viscosity-sign-bool", "check-viscosity-value-bool",
     "check-viscosity-budget-fractional", "descend-steps-fractional",
+    "check-viscosity-budget-huge", "descend-budget-huge",
     "wp-weights-string", "wp-dim-fractional", "wp-j-too-large", "wp-i-negative",
     "wp-p-nan", "wp-p-inf", "geodesic-i-too-large", "geodesic-t-nan",
     "geodesic-frac-nan", "geodesic-t-nan-degenerate", "reproduce-ex3-p3",

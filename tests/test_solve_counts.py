@@ -9,7 +9,7 @@ call the verdicts and the sphere sampler make, memo hits included.
 import numpy as np
 import pytest
 
-from wasslab import measure_fields, wgeom
+from wasslab import wgeom
 from wasslab.base_space import BaseRay, BusemannField, CustomField, DistanceField, MinField
 from wasslab.discrete_measure import validate_measure
 from wasslab.viscosity import (
@@ -129,13 +129,14 @@ def test_verdict_solve_counts(solves, kind, expected):
 
 @pytest.mark.parametrize("kind, expected", [("sphere_lifted", 1), ("dlg", 1), ("descent", 3)])
 def test_lifted_ray_builds(monkeypatch, kind, expected):
-    # one lifted ray per base point: per sphere test and dlg test, and per descent step
+    # the base field's rays once per base point: per sphere test and dlg test, and per
+    # descent step
     builds = []
-    build = measure_fields.lifted_ray
+    build = MinField.descent_rays
 
-    def counted(U, omega, members=None):
-        builds.append(omega)
-        return build(U, omega, members)
-    monkeypatch.setattr(measure_fields, "lifted_ray", counted)
+    def counted(self, pts):
+        builds.append(pts)
+        return build(self, pts)
+    monkeypatch.setattr(MinField, "descent_rays", counted)
     VERDICTS[kind]()
     assert len(builds) == expected

@@ -283,11 +283,11 @@ _THREE_ATOMS = ([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]], [0.5, 0.3, 0.2])
 
 
 @pytest.mark.parametrize("field", ["lifted", "distance"])
-@pytest.mark.parametrize("budget", [0, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("budget", [0, 2.5, math.nan, math.inf, 10**6 + 1, 1e18])
 def test_the_sphere_test_refuses_a_budget_that_is_no_whole_number_before_any_solve(
         budget, field, solves):
     # unchecked, a budget of nan reads no sample, so the analytic candidates alone
-    # give PASS, and one of inf never returns
+    # give PASS, and one of inf or 1e18 never returns
     omega = validate_measure(*_THREE_ATOMS)
     U = lift(BusemannField(E1)) if field == "lifted" else DistanceToField(dirac([5.0, 0.0]))
     with pytest.raises(DomainError, match="budget"):
@@ -295,7 +295,7 @@ def test_the_sphere_test_refuses_a_budget_that_is_no_whole_number_before_any_sol
     assert not solves
 
 
-@pytest.mark.parametrize("steps", [2.5, math.nan, math.inf])
+@pytest.mark.parametrize("steps", [2.5, math.nan, math.inf, 10**6 + 1, 1e18])
 def test_greedy_descent_refuses_a_step_count_that_is_no_whole_number(steps, solves):
     # unchecked, these raise a bare TypeError from range()
     omega = validate_measure(*_THREE_ATOMS)

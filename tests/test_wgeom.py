@@ -353,13 +353,21 @@ def test_sphere_stream_checks_its_arguments_before_any_solve(solves):
     assert not solves
 
 
-@pytest.mark.parametrize("budget", [0, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("budget", [0, 2.5, math.nan, math.inf, 10**6 + 1, 1e18])
 def test_sphere_sample_refuses_a_budget_that_is_no_whole_number_of_at_least_1(budget, solves):
-    # unchecked, nan keeps no sample, inf never stops and 2.5 keeps 3
+    # unchecked, nan keeps no sample, inf and 1e18 never stop and 2.5 keeps 3
     omega = validate_measure([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]], [0.5, 0.3, 0.2])
     with pytest.raises(DomainError, match="budget"):
         sphere_sample(omega, 1.0, 2.0, budget=budget, rng=0)
     assert not solves
+
+
+def test_check_count_takes_whole_numbers_from_1_to_max_count():
+    top = wgeom.MAX_COUNT
+    assert [wgeom.check_count(n, "n") for n in (1, 8.0, top, float(top))] == [1, 8, top, top]
+    for n in (top + 1, 1e18, 10**400):
+        with pytest.raises(DomainError, match=f"must be a whole number from 1 to {top}"):
+            wgeom.check_count(n, "n")
 
 
 def test_sphere_sample_failure_is_reported(monkeypatch):
@@ -595,31 +603,14 @@ def test_lifted_rays_match_their_definition(case, p):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_lifted_case(), st.sampled_from([1.0, 2.0, 3.0]))
 def test_a_lifted_base_point_has_the_bits_of_the_field_and_its_ray(case, p):
-    # the base point evaluates a minimum's members once and shares them
     omega, lifted, _ = case
     U = lift(lifted, p)
     point = U.at(omega)
     assert point.value == U.evaluate(omega)
     ray = lifted_ray(U, omega)
-    assert point.ray.origins.tobytes() == ray.origins.tobytes()
-    assert point.ray.directions.tobytes() == ray.directions.tobytes()
-
-
-def test_a_lifted_minimum_evaluates_each_member_once_per_base_point(monkeypatch):
-    calls = []
-    evaluate_many = BusemannField.evaluate_many
-
-    def counted(self, pts):
-        calls.append(self)
-        return evaluate_many(self, pts)
-    monkeypatch.setattr(BusemannField, "evaluate_many", counted)
-    members = (BusemannField(np.array([1.0, 0.0]), 0.3), BusemannField(np.array([0.0, -1.0])),
-               BusemannField(np.array([-0.6, 0.8]), 0.5))
-    omega = validate_measure([[0.0, 0.0], [1.5, 0.2], [-0.4, 1.1], [0.7, -1.3]],
-                             [0.1, 0.2, 0.3, 0.4])
-    point = lift(MinField(members), 2.0).at(omega)
-    point.value, point.ray
-    assert calls == list(members)
+    origins, directions = point.rays
+    assert origins.tobytes() == ray.origins.tobytes()
+    assert directions.tobytes() == ray.directions.tobytes()
 
 
 def test_a_lifted_minimum_asks_only_its_picked_members_for_rays():
@@ -629,9 +620,9 @@ def test_a_lifted_minimum_asks_only_its_picked_members_for_rays():
                      DistanceField(np.array([[-10.0], [10.0]]), sign=-1)))
     U = lift(base, 2.0)
     away = validate_measure([[5.0], [7.0]], [0.5, 0.5])  # -x <= -distance, a tie at 5
-    assert np.array_equal(U.at(away).ray.directions, [[1.0], [1.0]])
+    assert np.array_equal(U.at(away).rays[1], [[1.0], [1.0]])
     near = validate_measure([[1.0], [7.0]], [0.5, 0.5])  # -9 at 1 is the distance's
-    for build in (lambda: U.at(near).ray, lambda: lifted_ray(U, near)):
+    for build in (lambda: U.at(near).rays, lambda: lifted_ray(U, near)):
         with pytest.raises(UnsupportedField):
             build()
 

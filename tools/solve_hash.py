@@ -7,9 +7,9 @@ Imports wasslab from TREE/src (TREE defaults to this checkout), solves the
 battery below and prints one JSON object with two sha256 digests and their
 counts: one over the clamp instances, where some pair of atoms lies a
 positive distance below `DIST_CLAMP` apart and the solver zeroes it, and
-one over the rest. A digest covers each result's value, cost, lower bound,
-potentials, solver name and plan arrays (dtype and bytes), or the type and
-message of what the solve raised. Running it on two checkouts tells whether
+one over the rest. A digest covers each result's value, cost, potentials,
+solver name and plan arrays (dtype and bytes), or the type and message of
+what the solve raised. Running it on two checkouts tells whether
 a change to the solver moved any result, bit for bit, apart from the
 instances the clamp makes ambiguous.
 
@@ -60,7 +60,7 @@ def record(wl, mu, nu, p) -> bytes:
         return f"raised {type(exc).__name__}: {exc}\n".encode()
     plan = res.plan
     head = [res.solver, float(res.p).hex(), float(res.value).hex(), float(res.cost).hex(),
-            float(res.cost_lower).hex(), repr([float(v).hex() for v in res.psi])]
+            repr([float(v).hex() for v in res.psi])]
     arrays = [f"{arr.dtype.str}:{arr.tobytes().hex()}"
               for arr in (plan.rows, plan.cols, plan.masses)]
     return (" ".join(head + arrays) + "\n").encode()
