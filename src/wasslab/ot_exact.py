@@ -54,14 +54,14 @@ as a point, with no measure built. A 2x2 instance, (n-1)(m-1) = 1, builds
 the northwest staircase in plain Python by the tree's own rules (the same
 three cells, tie rule, potentials and flows re-solved children first) and
 prices its four cells there. When no reduced cost is below -`_ENTER_TOL`
-the staircase goes to the same certificate as a simplex plan and comes back
-bit for bit as the simplex returns it; a staircase that needs a pivot, or a
-cost that overflowed, takes the simplex.
+that basis stands for the one `_simplex_basis` returns, bit for bit, and
+goes to the one certificate every basis goes to; a staircase that needs a
+pivot, or a cost that overflowed, takes the simplex.
 
 Solves are memoized: a module-level LRU of the last `MEMO_SIZE` distinct
 solves, keyed on the bytes of both measures and on p, serves a repeated
 (mu, nu, p) without solving it again. An entry keeps only the value, the
-cost, its lower bound, `psi` and the plan arrays, which are made read-only
+cost, `psi` and the plan arrays, which are made read-only
 and shared by every result built from it; a solve that raises is never
 stored.
 
@@ -502,28 +502,28 @@ def _solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> TransportResul
     if n == 1 or m == 1:
         return _product_plan(mu, nu, p, D, "simplex")
     C = _cost_matrix(D, p)
+    # the plan is certified on C scaled to unit maximum
+    scale = C.item(C.argmax())
+    Cs = C / scale if scale > 0.0 else C
+    a, b = mu.weights, nu.weights
+    basis = _two_by_two(Cs, a, b) if n == m == 2 and math.isfinite(scale) else None
+    return _certified(mu, nu, p, C, Cs, scale, *(basis or _simplex_basis(Cs, a, b)))
 
-    res = _two_by_two(mu, nu, p, C) if n == m == 2 else None
-    return _certified_plan(mu, nu, p, C) if res is None else res
 
-
-def _two_by_two(mu, nu, p, C) -> TransportResult | None:
-    """`_certified_plan`'s result on a 2x2 instance whose staircase is optimal as built.
+def _two_by_two(Cs, a, b):
+    """`_simplex_basis(Cs, a, b)` on a 2x2 instance whose staircase is optimal as built.
 
     The cost matrix has one cell more than the plan, so the northwest
     staircase, its potentials and its pricing run in plain Python, with the
     arithmetic `_simplex_basis` does: the first cell closes row 0 when
-    a_0 <= b_0 (the tie rule), each new node's potential is C_ij less its
+    a_0 <= b_0 (the tie rule), each new node's potential is Cs_ij less its
     parent's, the flows are re-solved from the marginals children first, and
-    the reduced costs are (Cs_ij - u_i) - v_j. A staircase that needs a pivot,
-    or a cost that overflowed, returns None and takes the general route.
+    the reduced costs are (Cs_ij - u_i) - v_j. The basis comes back as
+    `_simplex_basis` returns it, (rows, cols, flow, pot, slack); a staircase
+    that needs a pivot returns None and takes the simplex.
     """
-    scale = C.item(C.argmax())
-    if not math.isfinite(scale):
-        return None
-    Cs = C / scale if scale > 0.0 else C
     (c00, c01), (c10, c11) = Cs.tolist()
-    (a0, a1), (b0, b1) = mu.weights.tolist(), nu.weights.tolist()
+    (a0, a1), (b0, b1) = a.tolist(), b.tolist()
     v0 = c00  # c - 0.0 is c: row 0 is the root, u_0 = 0
     if a0 <= b0:  # cells (0,0), (1,0), (1,1): row 1 hangs below column 0
         u1 = c10 - v0
@@ -536,16 +536,7 @@ def _two_by_two(mu, nu, p, C) -> TransportResult | None:
         rows, cols, f = [0, 0, 1], [0, 1, 1], b1 - a1
         flow = [b0, f, a1]
     slack = min(c00 - v0, c01 - v1, (c10 - u1) - v0, (c11 - u1) - v1)
-    if slack < -_ENTER_TOL:
-        return None
-    return _certified(mu, nu, p, C, Cs, scale, rows, cols, flow, [0.0, u1, v0, v1], slack)
-
-
-def _certified_plan(mu, nu, p, C) -> TransportResult:
-    """The simplex plan for the cost C, checked and certified on C scaled to unit maximum."""
-    scale = C.item(C.argmax())
-    Cs = C / scale if scale > 0.0 else C
-    return _certified(mu, nu, p, C, Cs, scale, *_simplex_basis(Cs, mu.weights, nu.weights))
+    return None if slack < -_ENTER_TOL else (rows, cols, flow, [0.0, u1, v0, v1], slack)
 
 
 def _certified(mu, nu, p, C, Cs, scale, rows, cols, flow, pot, slack) -> TransportResult:

@@ -9,9 +9,9 @@ solver-certified distance, and a negative verdict is reported as FAIL only
 for field variants whose calibrating candidates are analytically complete
 (lifted fields with ray-capable bases, constants, and their finite infima);
 otherwise the search reports INCONCLUSIVE. A verdict does its work at a base
-point once (`MeasureField.at`), and reads a sphere sample's value only where
-the field's proven floor cannot show that the value changes nothing the
-verdict returns.
+point once (`MeasureField.at`) and reads every candidate's value, except the
+sphere test, which skips a sphere sample's value where the field's proven
+floor shows that it changes nothing the test returns.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ class _Scan:
     non-degenerate candidates, and builds and certifies each one only when
     it is read; `n_candidates` counts the raw candidates read so far. The
     analytic candidate carries U(measure) from its construction, a sphere
-    sample None: its reader evaluates it only where the base point's
-    `lower` bound cannot settle what the value would change. The sampler
-    checks r and the budget when the scan is made, before any solve.
+    sample None: its reader evaluates it, unless the sphere test's floor rule
+    settles it. The sampler checks r and the budget when the scan is made,
+    before any solve.
     """
 
     def __init__(self, point: BasePoint, r, budget, rng):
@@ -141,9 +141,13 @@ def _check_radii(radii: Sequence[float]) -> tuple[float, ...]:
 def local_slope_estimate(U: MeasureField, omega: DiscreteMeasure,
                          radii: Sequence[float] = (1.0, 0.5, 0.25),
                          budget: int = 8, rng=None) -> SlopeEstimate:
-    """Lower bound on the local slope of U at omega over shrinking radii."""
+    """Lower bound on the local slope of U at omega over shrinking radii.
+
+    Radii and budget are checked as `viscosity_sphere_test` checks them.
+    """
     radii = _check_radii(radii)
     budget = check_count(budget, "budget")
+    check_count(len(radii) * budget, "len(radii) * budget")
     rng = ensure_rng(rng)
     point = U.at(omega)
     base_value = point.value
@@ -153,9 +157,6 @@ def local_slope_estimate(U: MeasureField, omega: DiscreteMeasure,
         scan = _Scan(point, r, budget, rng)
         for x, cert, value in scan:
             if value is None:
-                hi = base_value - point.lower(x, cert)
-                if best[1] is not None and max(hi, 0.0) / cert <= best[0]:
-                    continue  # the ratio cannot beat the best one
                 value = U.evaluate(x)
             ratio = max(base_value - value, 0.0) / cert
             if best[1] is None or ratio > best[0]:
@@ -253,13 +254,16 @@ def viscosity_sphere_test(U: MeasureField, omega: DiscreteMeasure,
     for analytically complete variants and INCONCLUSIVE otherwise, and so
     does a radius without a witness, except that a radius with no candidates
     at all is inconclusive. Radii must be positive and decreasing,
-    0 < eps < 1, and the budget a whole number of at least 1, all checked
-    before any solve.
+    0 < eps < 1, and the budget a whole number of at least 1 with
+    len(radii) * budget at most `wgeom.MAX_COUNT`, all checked before any
+    solve. A sphere sample's value is read only where the base point's
+    `lower` bound cannot show that it changes no gap, witness or refuter.
     """
     radii = _check_radii(radii)
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps {eps} must lie strictly between 0 and 1")
     budget = check_count(budget, "budget")
+    check_count(len(radii) * budget, "len(radii) * budget")
     rng = ensure_rng(rng)
     point = U.at(omega)
     base_value = point.value
@@ -343,15 +347,19 @@ def dlg_test(U: MeasureField, omega: DiscreteMeasure, levels: Sequence[float],
     sample left it. At least one level is required, and each must lie more
     than 1e-10 below U(omega), so that the analytic and translate
     candidates, both at certified distance about U(omega) - c, are never
-    dropped as degenerate; the budget, a whole number of at least 1, is
-    checked before any solve.
+    dropped as degenerate, and len(levels) * budget must be at most
+    `wgeom.MAX_COUNT`. The budget, a whole number of at least 1, and eps, a
+    finite number of at least 0, are checked before any solve.
     """
     budget = check_count(budget, "budget")
+    if not 0.0 <= eps < math.inf:  # nan fails it too
+        raise DomainError(f"eps {eps} must be a finite number of at least 0")
     point = U.at(omega)
     base_value = point.value
     if not levels or not all(c < base_value - _DEGENERATE_PAIR for c in levels):
         raise DomainError(f"levels {list(levels)} must be non-empty and each more than "
                           f"{_DEGENERATE_PAIR:g} below the value {base_value}")
+    check_count(len(levels) * budget, "len(levels) * budget")
     rng = ensure_rng(rng)
     probes: list[LevelProbe] = []
     for c in levels:
@@ -359,9 +367,6 @@ def dlg_test(U: MeasureField, omega: DiscreteMeasure, levels: Sequence[float],
         witness = refuter = None
         for x, cert, value in _Scan(point, delta, budget, rng):
             if value is None:
-                lo = point.lower(x, cert)
-                if lo > c + 1e-9 and not _refutes(base_value - lo, cert):
-                    continue  # neither a witness nor a refuter
                 value = U.evaluate(x)
             if _refutes(base_value - value, cert):
                 refuter = (x, cert, base_value - value)
@@ -446,11 +451,13 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
     and the stalled step's first refuting (measure, distance, drop), if any,
     attached, when no candidate is admissible; this is the expected outcome
     for fields that are not unit-slope. The step count and the budget must
-    be whole numbers of at least 1.
+    be whole numbers of at least 1, and steps * budget at most
+    `wgeom.MAX_COUNT`.
     """
     if not eps > 0.0:  # nan fails it too
         raise DomainError(f"eps {eps} must be positive")
     steps, budget = check_count(steps, "steps"), check_count(budget, "budget")
+    check_count(steps * budget, "steps * budget")
     if not step_length > 0.0:
         raise DomainError(f"step_length {step_length} must be positive")
     rng = ensure_rng(rng)
@@ -467,14 +474,6 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
         worst_gap = np.inf
         for x, cert, value in _Scan(point, step_length, budget, rng):
             if value is None:
-                hi = values[-1] - point.lower(x, cert)
-                beaten = hi - cert < -defect or (best is not None and hi - cert <= best[0])
-                # a step with an admissible candidate does not stall, and then its
-                # gap and refuter go unread
-                unseen = best is not None or (cert - hi > worst_gap and (
-                    refuter is not None or not _refutes(hi, cert)))
-                if beaten and unseen:
-                    continue
                 value = U.evaluate(x)
             drop = values[-1] - value
             margin = drop - cert

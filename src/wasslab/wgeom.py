@@ -34,7 +34,7 @@ from .ot_exact import VALUE_CLAMP, TransportResult, dirac_value, dual_floor, was
 _T_EDGE_TOL = 1e-12
 _MONOTONE_TOL = 1e-9
 BRACKET_TOL = 1e-12  # relative width of a bracket on W_p that stands for the distance
-MAX_COUNT = 10**6  # the largest budget, step or sample count a caller may ask for
+MAX_COUNT = 10**6  # the largest count, or product of two counts, a caller may ask for
 
 # The doubling schedule certifies only the observed increment; the tail beyond
 # the last sample is monotone but not quantitatively bounded.
@@ -526,9 +526,12 @@ def dlc_limit(seq: MeasureSetSequence, omega: DiscreteMeasure, p: float = 2.0,
     """Distance-limit value lim_n [min_{h in H_n} W_p(omega, h) - c_n].
 
     Indices double up to n_max (with a final sample exactly at n_max);
-    convergence is declared when the last increment is within tol. Returns
-    (value, converged, samples) with the full (n, a_n) trace.
+    convergence is declared when the last increment is within tol, which
+    must be positive. Returns (value, converged, samples) with the full
+    (n, a_n) trace.
     """
+    if not tol > 0.0:  # nan fails it too
+        raise DomainError(f"tolerance {tol} must be positive")
     n_max = check_count(n_max, "n_max")
     if n_max < 2:
         raise DomainError(f"n_max {n_max} must be a whole number of at least 2")

@@ -469,14 +469,16 @@ def test_two_by_two_route_is_the_simplex_bit_for_bit(instance):
     mu, nu, p = instance
     assume(mu.n_atoms == nu.n_atoms == 2)
     C = ot_exact._cost_matrix(ot_exact._distance_matrix(mu.support, nu.support), p)
-    expected = ot_exact._certified_plan(mu, nu, p, C)  # the simplex alone
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ot_exact, "_two_by_two", lambda *args: None)
+        expected = ot_exact._solve(mu, nu, p)  # the simplex alone
     bases = []
     basis = ot_exact._simplex_basis
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ot_exact, "_simplex_basis", lambda *args: bases.append(args) or basis(*args))
         res = ot_exact._solve(mu, nu, p)
     # a staircase that needs a pivot takes the simplex; one optimal as built never does
-    assert bool(bases) == (ot_exact._two_by_two(mu, nu, p, C) is None)
+    assert bool(bases) == (ot_exact._two_by_two(C / C.max(), mu.weights, nu.weights) is None)
     assert [repr(x) for x in (res.value, res.cost, res.psi)] == [
         repr(x) for x in (expected.value, expected.cost, expected.psi)]
     for name in ("rows", "cols", "masses"):
@@ -490,7 +492,7 @@ def test_two_by_two_instances_take_both_routes():
                validate_measure([[0.0, 5.0], [1.0, 0.0]], [0.5, 0.5]))
     for (mu, nu), as_built in ((line, True), (crossed, False)):
         C = ot_exact._cost_matrix(ot_exact._distance_matrix(mu.support, nu.support), 2.0)
-        assert (ot_exact._two_by_two(mu, nu, 2.0, C) is not None) == as_built
+        assert (ot_exact._two_by_two(C / C.max(), mu.weights, nu.weights) is not None) == as_built
 
 
 def test_line_prices_when_the_clamp_breaks_the_monotone_order():
@@ -501,7 +503,7 @@ def test_line_prices_when_the_clamp_breaks_the_monotone_order():
     C = np.abs(mu.support - nu.support.T)
     C[C < ot_exact.DIST_CLAMP] = 0.0
     staircase = 0.5 * (C[0, 0] + C[1, 1])  # the tie closes row 0 on the diagonal
-    assert ot_exact._two_by_two(mu, nu, 1.0, C) is None
+    assert ot_exact._two_by_two(C / C.max(), mu.weights, nu.weights) is None
     res = wasserstein_exact(mu, nu, 1.0)
     assert res.cost == pytest.approx(brute_force_oracle(mu, nu, 1.0).cost, rel=1e-12)
     assert res.cost < staircase

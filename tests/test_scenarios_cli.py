@@ -320,6 +320,8 @@ def _malformed_inputs(tmp_path):
         # whole-number entries are not truncated, and a huge one would never return
         "budget-fractional": dict(unit_slope, budget=8.7),
         "budget-huge": dict(unit_slope, budget=1e18),
+        # at the cap alone, but three radii times the budget ask for 3 * 10**6 samples
+        "budget-million": dict(unit_slope, budget=1000000),
         # W_p is no metric below p = 1, so the field is refused when it is built
         "field-p-half": dict(unit_slope, field=dict(unit_slope["field"], p=0.5)),
     }
@@ -386,6 +388,8 @@ def _malformed_inputs(tmp_path):
         # measures 0 and 0 give a degenerate path, which once returned its source at nan
         "geodesic-t-nan-degenerate": ["geodesic", str(measures), "--j", "0", "--t", "nan"],
         "reproduce-ex3-p3": ["reproduce", "ex3", "--p", "3"],
+        "reproduce-ex3-tol-nan": ["reproduce", "ex3", "--tol", "nan"],
+        "reproduce-ex3-tol-negative": ["reproduce", "ex3", "--tol", "-1"],
         "acceptance-no-match": ["acceptance", "--only", "no-such-criterion"],
         **{name: [cmd, str(tmp_path / f"{name}.json")]
            for name, (cmd, _) in nan_entries.items()},
@@ -402,10 +406,11 @@ def _malformed_inputs(tmp_path):
     "check-viscosity-levels-empty", "check-viscosity-p-string",
     "check-viscosity-sign-bool", "check-viscosity-value-bool",
     "check-viscosity-budget-fractional", "descend-steps-fractional",
-    "check-viscosity-budget-huge", "descend-budget-huge",
+    "check-viscosity-budget-huge", "descend-budget-huge", "check-viscosity-budget-million",
     "wp-weights-string", "wp-dim-fractional", "wp-j-too-large", "wp-i-negative",
     "wp-p-nan", "wp-p-inf", "geodesic-i-too-large", "geodesic-t-nan",
     "geodesic-frac-nan", "geodesic-t-nan-degenerate", "reproduce-ex3-p3",
+    "reproduce-ex3-tol-nan", "reproduce-ex3-tol-negative",
     "acceptance-no-match", "busemann-t_max-nan", "busemann-tol-nan",
     "descend-epsilon-nan", "descend-step_length-nan", "check-viscosity-radii-nan",
     "check-viscosity-dim-mismatch", "descend-dim-mismatch", "check-viscosity-field-p-half",

@@ -279,6 +279,17 @@ def test_dlg_checks_the_budget_before_any_solve(solves):
     assert not solves
 
 
+@pytest.mark.parametrize("field", ["lifted", "distance"])
+@pytest.mark.parametrize("eps", [math.nan, -1.0, math.inf])
+def test_dlg_refuses_an_eps_that_is_no_finite_number_of_at_least_0(eps, field, solves):
+    # unchecked, nan and -1 make a unit-slope field FAIL: no witness passes cert <= delta + eps
+    omega = validate_measure([[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5])
+    U = lift(BusemannField(E1)) if field == "lifted" else DistanceToField(dirac([5.0, 0.0]))
+    with pytest.raises(DomainError, match="eps"):
+        dlg_test(U, omega, levels=(-10.0,), eps=eps)
+    assert not solves
+
+
 _THREE_ATOMS = ([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]], [0.5, 0.3, 0.2])
 
 
@@ -301,6 +312,15 @@ def test_greedy_descent_refuses_a_step_count_that_is_no_whole_number(steps, solv
     omega = validate_measure(*_THREE_ATOMS)
     with pytest.raises(DomainError, match="steps"):
         greedy_descent(DistanceToField(dirac([5.0, 0.0])), omega, eps=1e-2, steps=steps)
+    assert not solves
+
+
+def test_greedy_descent_refuses_a_product_of_counts_above_the_cap(solves):
+    # each count alone is at the cap, but together they ask for 10**12 candidates
+    omega = validate_measure(*_THREE_ATOMS)
+    with pytest.raises(DomainError, match=r"steps \* budget"):
+        greedy_descent(DistanceToField(dirac([5.0, 0.0])), omega, eps=1e-2,
+                       steps=10**6, budget=10**6)
     assert not solves
 
 

@@ -485,6 +485,9 @@ def test_dlc_limit_errors():
         with pytest.raises(DomainError, match="n_max"):
             dlc_limit(seq, omega, 2.0, n_max=n_max)
     assert dlc_limit(seq, omega, 2.0, n_max=16.0) == dlc_limit(seq, omega, 2.0, n_max=16)
+    for tol in (math.nan, -1.0, 0.0):  # unchecked, these ran to n_max unconverged
+        with pytest.raises(DomainError, match="tolerance"):
+            dlc_limit(seq, omega, 2.0, tol=tol)
 
 
 def test_path_eval_at_arc_length():
