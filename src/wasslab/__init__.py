@@ -19,6 +19,17 @@ from .discrete_measure import (
     random_measure,
     validate_measure,
 )
+from .measure_fields import (
+    ConstantField,
+    DistanceToField,
+    InfField,
+    LiftedField,
+    MeasureField,
+    RayBusemannField,
+    lift,
+    lifted_ray,
+    measure_field_from_config,
+)
 from .ot_exact import (
     Coupling,
     TransportResult,
@@ -27,22 +38,13 @@ from .ot_exact import (
     wasserstein_exact,
 )
 from .viscosity import (
-    ConstantField,
-    DistanceToField,
-    InfField,
-    LiftedField,
-    MeasureField,
-    RayBusemannField,
     SlopeEstimate,
     DescentPolyline,
     dlg_test,
     global_slope_estimate,
     greedy_descent,
-    lift,
-    lifted_ray,
     lipschitz_probe,
     local_slope_estimate,
-    measure_field_from_config,
     representation_check,
     viscosity_sphere_test,
 )

@@ -19,6 +19,7 @@ import numpy as np
 from .base_space import BusemannField, MinField
 from .discrete_measure import random_measure, validate_measure
 from .errors import DescentStalled, ParseError
+from .measure_fields import ConstantField, lift, lifted_ray
 from .ot_exact import brute_force_oracle, wasserstein_1d_oracle, wasserstein_exact
 from .scenarios import (
     DISTANCE_TOL,
@@ -31,12 +32,9 @@ from .scenarios import (
     vanishing_decay,
 )
 from .viscosity import (
-    ConstantField,
     FAIL,
     PASS,
     greedy_descent,
-    lift,
-    lifted_ray,
     lipschitz_probe,
     representation_check,
     viscosity_sphere_test,

@@ -29,10 +29,8 @@ from .errors import (
 UNIT_TOL = 1e-12
 UNIT_FIX = 1e-9
 
-BasePoint = np.ndarray
 
-
-def as_point(x) -> BasePoint:
+def as_point(x) -> np.ndarray:
     """Coerce to a finite 1-d float vector, the package's point type."""
     p = np.asarray(x, dtype=float)
     if p.ndim == 0:
@@ -89,7 +87,7 @@ class BaseRay:
     def dim(self) -> int:
         return self.origin.shape[0]
 
-    def eval(self, t: float) -> BasePoint:
+    def eval(self, t: float) -> np.ndarray:
         check_ray_time(t)
         return self.origin + t * self.direction
 
@@ -103,9 +101,10 @@ def check_ray_time(t: float) -> None:
 class ScalarField:
     """A real function on R^d with a declared Lipschitz bound.
 
-    Subclasses provide `evaluate`; the built-in variants are all exactly
-    1-Lipschitz, which `lipschitz_proven` says, and, except where noted,
-    give the steepest-descent rays through a batch of points via
+    Subclasses provide `evaluate_many`, the values at the rows of an (n, dim)
+    array; `evaluate(x)` is it on the one row x. The built-in variants are all
+    exactly 1-Lipschitz, which `lipschitz_proven` says, and, except where
+    noted, give the steepest-descent rays through a batch of points via
     `descent_rays`. A declared bound is not a proven one: verdicts test it.
     """
 
@@ -114,10 +113,13 @@ class ScalarField:
     lipschitz_proven: bool = False  # the bound holds by construction
 
     def evaluate(self, x) -> float:
-        raise NotImplementedError
+        p = as_point(x)
+        if p.shape[0] != self.dim:
+            raise DimensionError(f"dimension mismatch: {p.shape[0]} vs {self.dim}")
+        return float(self.evaluate_many(p[None, :])[0])
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.array([self.evaluate(p) for p in pts], dtype=float)
+        raise NotImplementedError
 
     def descent_rays(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unit-speed descent rays through the rows of an (n, dim) array.
@@ -125,14 +127,6 @@ class ScalarField:
         Returns (origins, directions), both (n, dim), with unit direction rows.
         """
         raise UnsupportedField(f"{type(self).__name__} has no registered descent ray")
-
-    def negative_gradient_ray(self, x) -> BaseRay:
-        """The descent ray through the single point x."""
-        p = as_point(x)
-        if p.shape[0] != self.dim:
-            raise DimensionError(f"dimension mismatch: {p.shape[0]} vs {self.dim}")
-        origins, directions = self.descent_rays(p[None, :])
-        return BaseRay(origins[0], directions[0])
 
     @property
     def has_analytic_rays(self) -> bool:
@@ -161,11 +155,6 @@ class BusemannField(ScalarField):
     @property
     def dim(self) -> int:
         return self.direction.shape[0]
-
-    def evaluate(self, x) -> float:
-        p = as_point(x)
-        _same_dim(p, self.direction)
-        return self.offset - float(np.dot(p, self.direction))
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         return self.offset - pts.dot(self.direction)
@@ -208,9 +197,6 @@ class MinField(ScalarField):
     @property
     def lipschitz_proven(self) -> bool:
         return all(f.lipschitz_proven for f in self.fields)
-
-    def evaluate(self, x) -> float:
-        return min(f.evaluate(x) for f in self.fields)
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         return functools.reduce(np.minimum, [f.evaluate_many(pts) for f in self.fields])
@@ -268,12 +254,6 @@ class DistanceField(ScalarField):
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def evaluate(self, x) -> float:
-        p = as_point(x)
-        if p.shape[0] != self.dim:
-            raise DimensionError(f"dimension mismatch: {p.shape[0]} vs {self.dim}")
-        return self.sign * float(np.min(np.linalg.norm(self.points - p, axis=1)))
-
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         diffs = pts[:, None, :] - self.points[None, :, :]
         return self.sign * np.min(np.linalg.norm(diffs, axis=2), axis=1)
@@ -314,11 +294,8 @@ class CustomField(ScalarField):
     lipschitz: float = 1.0
     ray_fn: Callable[[np.ndarray], BaseRay] | None = None
 
-    def evaluate(self, x) -> float:
-        p = as_point(x)
-        if p.shape[0] != self.dim:
-            raise DimensionError(f"dimension mismatch: {p.shape[0]} vs {self.dim}")
-        return float(self.fn(p))
+    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
+        return np.array([float(self.fn(p)) for p in pts])
 
     def descent_rays(self, pts):
         if self.ray_fn is None:

@@ -19,6 +19,7 @@ import sys
 from .acceptance import run_all
 from .discrete_measure import DiscreteMeasure
 from .errors import DescentStalled, DomainError, ParseError, WasslabError, is_number
+from .measure_fields import lifted_ray, measure_field_from_config
 from .ot_exact import wasserstein_exact
 from .scenarios import (
     ScenarioConfig,
@@ -34,9 +35,7 @@ from .viscosity import (
     gap_json,
     global_slope_estimate,
     greedy_descent,
-    lifted_ray,
     local_slope_estimate,
-    measure_field_from_config,
     viscosity_sphere_test,
 )
 from .wgeom import busemann_estimate, displacement_path

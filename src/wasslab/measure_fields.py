@@ -299,8 +299,7 @@ def lifted_ray(U: MeasureField, omega: DiscreteMeasure) -> WassersteinRay:
     """Per-atom descent ray of a lifted field; exact unit-rate value drop."""
     if not isinstance(U, LiftedField):
         raise UnsupportedField(f"{type(U).__name__} has no lifted descent ray")
-    U._check_dim(omega)
-    return WassersteinRay(omega, *U.base.descent_rays(omega.support), U.p)
+    return WassersteinRay(omega, *U.at(omega).rays, U.p)
 
 
 def measure_field_from_config(cfg: dict, default_p: float = 2.0) -> MeasureField:

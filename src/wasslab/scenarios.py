@@ -46,21 +46,19 @@ from .errors import (
     ParseError,
     WasslabError,
 )
+from .measure_fields import ConstantField, lift, lifted_ray
 from .ot_exact import wasserstein_exact
 from .viscosity import (
-    ConstantField,
     FAIL,
     PASS,
     SphereTestResult,
     dlg_test,
     greedy_descent,
-    lift,
-    lifted_ray,
     lipschitz_probe,
     representation_check,
     viscosity_sphere_test,
 )
-from .wgeom import cs_diagnostic, dlc_limit
+from .wgeom import check_count, cs_diagnostic, dlc_limit
 
 
 def escaping_mixture(n: int, p: float) -> DiscreteMeasure:
@@ -78,6 +76,12 @@ class ScenarioConfig:
     seed: int = 0
     tol: float = 1e-6
     n_max: int = 200
+
+    def __post_init__(self):
+        # refused before any solve: a report that checks nothing, or stamps a nan tol
+        if not 0.0 < self.tol < math.inf:  # nan fails it too
+            raise DomainError(f"tolerance {self.tol} must be a finite positive number")
+        object.__setattr__(self, "n_max", check_count(self.n_max, "n_max"))
 
 
 @dataclass

@@ -217,7 +217,7 @@ class WassersteinRay:
     `origins` and `directions` are (n, d) arrays with one row per atom of
     `base` (whose weights the ray carries) and unit direction rows. Valid
     when the rows are descent rays of one shared 1-Lipschitz base field, as
-    `viscosity.lifted_ray` and `dirac_ray` build them; rows whose atoms
+    `measure_fields.lifted_ray` and `dirac_ray` build them; rows whose atoms
     cross may fall short of unit speed, and construction does not check it.
     """
 

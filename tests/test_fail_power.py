@@ -16,7 +16,8 @@ import numpy as np
 
 from wasslab.base_space import CustomField
 from wasslab.discrete_measure import validate_measure
-from wasslab.viscosity import lift, viscosity_sphere_test
+from wasslab.measure_fields import lift
+from wasslab.viscosity import viscosity_sphere_test
 
 A = np.array([0.3, -0.2])
 SLOPES = (1.05, 1.2, 2.0)

@@ -275,7 +275,7 @@ def test_value_is_root_of_cost():
 
 def test_kantorovich_rubinstein_bound():
     from wasslab.base_space import BusemannField, MinField
-    from wasslab.viscosity import lift
+    from wasslab.measure_fields import lift
 
     rng = np.random.default_rng(11)
     for _ in range(40):

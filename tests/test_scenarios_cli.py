@@ -390,6 +390,13 @@ def _malformed_inputs(tmp_path):
         "reproduce-ex3-p3": ["reproduce", "ex3", "--p", "3"],
         "reproduce-ex3-tol-nan": ["reproduce", "ex3", "--tol", "nan"],
         "reproduce-ex3-tol-negative": ["reproduce", "ex3", "--tol", "-1"],
+        # these once checked zero distances, or stamped a NaN or Infinity tol into
+        # report.json, and exited 0
+        "reproduce-ex5-n-max-0": ["reproduce", "ex5", "--n-max", "0"],
+        "reproduce-ex5-n-max-negative": ["reproduce", "ex5", "--n-max", "-3"],
+        "reproduce-ex5-tol-inf": ["reproduce", "ex5", "--tol", "inf"],
+        "reproduce-lift-demo-tol-nan": ["reproduce", "lift-demo", "--tol", "nan",
+                                        "--out", str(tmp_path / "lift-demo")],
         "acceptance-no-match": ["acceptance", "--only", "no-such-criterion"],
         **{name: [cmd, str(tmp_path / f"{name}.json")]
            for name, (cmd, _) in nan_entries.items()},
@@ -410,7 +417,8 @@ def _malformed_inputs(tmp_path):
     "wp-weights-string", "wp-dim-fractional", "wp-j-too-large", "wp-i-negative",
     "wp-p-nan", "wp-p-inf", "geodesic-i-too-large", "geodesic-t-nan",
     "geodesic-frac-nan", "geodesic-t-nan-degenerate", "reproduce-ex3-p3",
-    "reproduce-ex3-tol-nan", "reproduce-ex3-tol-negative",
+    "reproduce-ex3-tol-nan", "reproduce-ex3-tol-negative", "reproduce-ex5-n-max-0",
+    "reproduce-ex5-n-max-negative", "reproduce-ex5-tol-inf", "reproduce-lift-demo-tol-nan",
     "acceptance-no-match", "busemann-t_max-nan", "busemann-tol-nan",
     "descend-epsilon-nan", "descend-step_length-nan", "check-viscosity-radii-nan",
     "check-viscosity-dim-mismatch", "descend-dim-mismatch", "check-viscosity-field-p-half",

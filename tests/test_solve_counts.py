@@ -12,14 +12,8 @@ import pytest
 from wasslab import wgeom
 from wasslab.base_space import BaseRay, BusemannField, CustomField, DistanceField, MinField
 from wasslab.discrete_measure import validate_measure
-from wasslab.viscosity import (
-    ConstantField,
-    DistanceToField,
-    dlg_test,
-    greedy_descent,
-    lift,
-    viscosity_sphere_test,
-)
+from wasslab.measure_fields import ConstantField, DistanceToField, lift
+from wasslab.viscosity import dlg_test, greedy_descent, viscosity_sphere_test
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])

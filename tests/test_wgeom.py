@@ -30,9 +30,9 @@ from wasslab.errors import (
     SphereSamplingFailed,
     UnsupportedField,
 )
+from wasslab.measure_fields import lift, lifted_ray
 from wasslab.ot_exact import brute_force_oracle, wasserstein_exact
 from wasslab.scenarios import escaping_mixture
-from wasslab.viscosity import lift, lifted_ray
 from wasslab.wgeom import (
     WassersteinRay,
     busemann_estimate,
@@ -535,13 +535,18 @@ def test_custom_field_rays_keep_the_origins_ray_fn_returns():
     assert np.array_equal(ray.eval(0.5).support, [[1.5], [2.5]])
 
 
+def _one_row_ray(u):
+    """x -> the `BaseRay` of u's `descent_rays` on the one row x."""
+    return lambda x: BaseRay(*(rows[0] for rows in u.descent_rays(x[None, :])))
+
+
 @st.composite
 def _lifted_case(draw):
     """A measure of 1-6 atoms in R^d, d <= 3, and a base field with global rays.
 
     The field is a minimum of 1-4 Busemann fields or a single-anchor distance
-    field, sometimes behind a `CustomField` whose `ray_fn` is the field's own
-    per-point ray. An atom at the origin, grid coordinates, signed axis
+    field, sometimes behind a `CustomField` whose `ray_fn` is the field's
+    `descent_rays` on one row. An atom at the origin, grid coordinates, signed axis
     directions and offsets in {0, 1} plant exact ties between members; an
     anchor drawn from the atoms
     puts an atom on it. Returns the measure, the field to lift and the field
@@ -572,7 +577,7 @@ def _lifted_case(draw):
             offset = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-2.0, 2.0)))
             members.append(BusemannField(v, offset))
         u = MinField(members)
-    lifted = CustomField(u.evaluate, dim=d, ray_fn=u.negative_gradient_ray) \
+    lifted = CustomField(u.evaluate, dim=d, ray_fn=_one_row_ray(u)) \
         if draw(st.booleans()) else u
     return omega, lifted, u
 

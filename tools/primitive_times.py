@@ -85,7 +85,7 @@ def main() -> None:
         for k in range(len(work.items)):
             try:
                 work.call(k)()
-            except wl.WasslabError:
+            except wl.errors.WasslabError:
                 pass
         elapsed = time.perf_counter_ns() - t0
         best_pass = elapsed if best_pass is None else min(best_pass, elapsed)
