@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .base_space import (
-    BaseRay,
     BusemannField,
     CustomField,
     DistanceField,
@@ -62,8 +61,8 @@ from .wgeom import (
 from . import errors
 
 __all__ = [
-    "BaseRay", "BusemannField", "CustomField", "DistanceField", "MinField",
-    "ScalarField", "as_point", "base_field_from_config",
+    "BusemannField", "CustomField", "DistanceField", "MinField", "ScalarField",
+    "as_point", "base_field_from_config",
     "DiscreteMeasure", "MeasureSetSequence", "dirac", "random_measure",
     "validate_measure",
     "Coupling", "TransportResult", "brute_force_oracle", "wasserstein_1d_oracle",

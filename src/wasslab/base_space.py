@@ -1,4 +1,4 @@
-"""Euclidean base space: points, rays, and closed-form 1-Lipschitz scalar fields.
+"""Euclidean base space: points, unit directions, and closed-form 1-Lipschitz scalar fields.
 
 The base space is R^d with the Euclidean metric, so geodesics are straight
 segments and the unit-slope fields used throughout the package (linear
@@ -9,7 +9,6 @@ analytically known steepest-descent rays.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,11 +41,6 @@ def as_point(x) -> np.ndarray:
     return p
 
 
-def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
 def _unit_vector(v, like: np.ndarray | None = None) -> np.ndarray:
     """A read-only copy of v as a unit vector, checked against `like`'s shape first.
 
@@ -57,8 +51,8 @@ def _unit_vector(v, like: np.ndarray | None = None) -> np.ndarray:
     u = np.array(v, dtype=float)
     if u.ndim == 0:
         u = u.reshape(1)
-    if like is not None:
-        _same_dim(like, u)
+    if like is not None and like.shape != u.shape:
+        raise DimensionError(f"dimension mismatch: {like.shape[0]} vs {u.shape[0]}")
     norm = float(np.linalg.norm(u))
     if not abs(norm - 1.0) <= UNIT_FIX:  # nan fails it too
         raise DomainError(f"direction norm {norm} too far from 1 to renormalize")
@@ -68,44 +62,15 @@ def _unit_vector(v, like: np.ndarray | None = None) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True, eq=False)
-class BaseRay:
-    """Unit-speed ray t -> origin + t * direction, t >= 0, with a unit direction vector."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        # a copy, so that freezing it never freezes the caller's array
-        origin = as_point(self.origin).copy()
-        direction = _unit_vector(self.direction, origin)
-        origin.setflags(write=False)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "direction", direction)
-
-    @property
-    def dim(self) -> int:
-        return self.origin.shape[0]
-
-    def eval(self, t: float) -> np.ndarray:
-        check_ray_time(t)
-        return self.origin + t * self.direction
-
-
-def check_ray_time(t: float) -> None:
-    """Raise `DomainError` unless the ray parameter t is finite and non-negative."""
-    if not (math.isfinite(t) and t >= 0.0):  # nan fails every comparison
-        raise DomainError(f"ray parameter t={t} must be finite and non-negative")
-
-
 class ScalarField:
     """A real function on R^d with a declared Lipschitz bound.
 
     Subclasses provide `evaluate_many`, the values at the rows of an (n, dim)
     array; `evaluate(x)` is it on the one row x. The built-in variants are all
     exactly 1-Lipschitz, which `lipschitz_proven` says, and, except where
-    noted, give the steepest-descent rays through a batch of points via
-    `descent_rays`. A declared bound is not a proven one: verdicts test it.
+    noted, give the unit directions of the steepest-descent rays through a
+    batch of points via `descent_rays`. A declared bound is not a proven
+    one: verdicts test it.
     """
 
     dim: int
@@ -121,10 +86,11 @@ class ScalarField:
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def descent_rays(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unit-speed descent rays through the rows of an (n, dim) array.
+    def descent_rays(self, pts: np.ndarray) -> np.ndarray:
+        """Unit directions of the steepest-descent rays through the rows of an (n, dim) array.
 
-        Returns (origins, directions), both (n, dim), with unit direction rows.
+        Returns an (n, dim) array of unit rows; the ray through row i is
+        t -> pts[i] + t * directions[i], t >= 0.
         """
         raise UnsupportedField(f"{type(self).__name__} has no registered descent ray")
 
@@ -160,7 +126,7 @@ class BusemannField(ScalarField):
         return self.offset - pts.dot(self.direction)
 
     def descent_rays(self, pts):
-        return pts, self.direction[None, :].repeat(pts.shape[0], axis=0)
+        return self.direction[None, :].repeat(pts.shape[0], axis=0)
 
     @property
     def has_analytic_rays(self) -> bool:
@@ -202,22 +168,21 @@ class MinField(ScalarField):
         return functools.reduce(np.minimum, [f.evaluate_many(pts) for f in self.fields])
 
     def descent_rays(self, pts):
-        """The rays of the member attaining the minimum at each row; only those are asked."""
+        """The directions of the member attaining the minimum at each row; only those are asked."""
         pick = np.array([f.evaluate_many(pts) for f in self.fields]).argmin(axis=0)
         # the rows grouped by member, in member order, so each group is one slice
         order = pick.argsort(kind="stable")
         picked, rows = pick[order].tolist(), pts[order]
-        grouped_o, grouped_d = np.empty_like(rows), np.empty_like(rows)
+        grouped = np.empty_like(rows)
         start = 0
         while start < len(picked):
             k = picked[start]
             end = start + picked.count(k)
-            grouped_o[start:end], grouped_d[start:end] = self.fields[k].descent_rays(
-                rows[start:end])
+            grouped[start:end] = self.fields[k].descent_rays(rows[start:end])
             start = end
-        origins, directions = np.empty_like(pts), np.empty_like(pts)
-        origins[order], directions[order] = grouped_o, grouped_d
-        return origins, directions
+        directions = np.empty_like(pts)
+        directions[order] = grouped
+        return directions
 
     @property
     def has_analytic_rays(self) -> bool:
@@ -271,9 +236,8 @@ class DistanceField(ScalarField):
         dist = np.sqrt((away[:, None, :] @ away[:, :, None]).reshape(-1))
         at_anchor = dist <= UNIT_TOL
         # at the anchor every outward direction calibrates; pick e_1
-        directions = np.where(at_anchor[:, None], np.eye(self.dim)[0],
-                              away / np.where(at_anchor, 1.0, dist)[:, None])
-        return pts, directions
+        return np.where(at_anchor[:, None], np.eye(self.dim)[0],
+                        away / np.where(at_anchor, 1.0, dist)[:, None])
 
     @property
     def has_analytic_rays(self) -> bool:
@@ -284,28 +248,28 @@ class DistanceField(ScalarField):
 class CustomField(ScalarField):
     """User-supplied evaluator with a declared Lipschitz constant.
 
-    A descent-ray generator may be registered: it maps a point to the
-    `BaseRay` through it, which has unit speed by construction. Without one
+    A descent direction may be registered: `direction_fn` maps a point x to
+    the direction of the descent ray from x, which is checked against x's
+    dimension first and then made unit by `_unit_vector`'s rule. Without one
     the field cannot participate in ray-based operations.
     """
 
     fn: Callable[[np.ndarray], float]
     dim: int
     lipschitz: float = 1.0
-    ray_fn: Callable[[np.ndarray], BaseRay] | None = None
+    direction_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
         return np.array([float(self.fn(p)) for p in pts])
 
     def descent_rays(self, pts):
-        if self.ray_fn is None:
-            raise UnsupportedField("custom field has no registered descent-ray generator")
-        rays = [self.ray_fn(p) for p in pts]
-        return np.array([r.origin for r in rays]), np.array([r.direction for r in rays])
+        if self.direction_fn is None:
+            raise UnsupportedField("custom field has no registered descent direction")
+        return np.array([_unit_vector(self.direction_fn(x), x) for x in pts])
 
     @property
     def has_analytic_rays(self) -> bool:
-        return self.ray_fn is not None
+        return self.direction_fn is not None
 
 
 def base_field_from_config(cfg: dict) -> ScalarField:

@@ -103,10 +103,15 @@ class BasePoint:
 
 @dataclass(frozen=True, eq=False)
 class LiftedField(MeasureField):
-    """omega -> integral of the base field against omega."""
+    """omega -> integral of the base field against omega, of a base declared 1-Lipschitz."""
 
     base: ScalarField
     p: float = 2.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.base.lipschitz > 1.0 + 1e-9:
+            raise DomainError(f"declared Lipschitz bound {self.base.lipschitz} exceeds 1")
 
     def evaluate(self, omega: DiscreteMeasure) -> float:
         self._check_dim(omega)
@@ -125,15 +130,15 @@ class LiftedField(MeasureField):
 
 
 class _LiftedPoint(BasePoint):
-    """The base field's descent rays through omega's atoms, taken on the first candidate.
+    """The base field's descent directions at omega's atoms, taken on the first candidate.
 
-    `rays` is the (origins, directions) pair of `descent_rays` on omega's
-    support, and the candidate at arc length t moves each atom to
-    origin + t * direction.
+    `directions` is `descent_rays` on omega's support, one unit row per
+    atom, and the candidate at arc length t moves each atom x_i to
+    x_i + t * directions[i].
     """
 
     @cached_property
-    def rays(self) -> tuple[np.ndarray, np.ndarray]:
+    def directions(self) -> np.ndarray:
         U = self.field
         U._check_dim(self.omega)
         return U.base.descent_rays(self.omega.support)
@@ -142,8 +147,7 @@ class _LiftedPoint(BasePoint):
         U = self.field
         if not U.base.has_analytic_rays:
             return None
-        origins, directions = self.rays
-        rows = origins + t * directions
+        rows = self.omega.support + t * self.directions
         x = validate_measure(rows, self.omega.weights)
         value = U.evaluate(x)
         # a shift bracket, tight when every atom moves the same way; a base that is
@@ -290,8 +294,6 @@ class ConstantField(MeasureField):
 
 def lift(u: ScalarField, p: float = 2.0) -> LiftedField:
     """Lift a 1-Lipschitz base field to measure space by integration."""
-    if u.lipschitz > 1.0 + 1e-9:
-        raise DomainError(f"declared Lipschitz bound {u.lipschitz} exceeds 1")
     return LiftedField(u, p)
 
 
@@ -299,7 +301,7 @@ def lifted_ray(U: MeasureField, omega: DiscreteMeasure) -> WassersteinRay:
     """Per-atom descent ray of a lifted field; exact unit-rate value drop."""
     if not isinstance(U, LiftedField):
         raise UnsupportedField(f"{type(U).__name__} has no lifted descent ray")
-    return WassersteinRay(omega, *U.at(omega).rays, U.p)
+    return WassersteinRay(omega, U.at(omega).directions, U.p)
 
 
 def measure_field_from_config(cfg: dict, default_p: float = 2.0) -> MeasureField:

@@ -58,7 +58,7 @@ from .viscosity import (
     representation_check,
     viscosity_sphere_test,
 )
-from .wgeom import check_count, cs_diagnostic, dlc_limit
+from .wgeom import check_count, cs_diagnostic, dlc_limit, ensure_rng
 
 
 def escaping_mixture(n: int, p: float) -> DiscreteMeasure:
@@ -82,6 +82,7 @@ class ScenarioConfig:
         if not 0.0 < self.tol < math.inf:  # nan fails it too
             raise DomainError(f"tolerance {self.tol} must be a finite positive number")
         object.__setattr__(self, "n_max", check_count(self.n_max, "n_max"))
+        ensure_rng(self.seed)  # a seed numpy refuses is a DomainError
 
 
 @dataclass
@@ -371,7 +372,7 @@ def _run_ex3(cfg: ScenarioConfig) -> Report:
 
 def lift_demo_field(seed: int = 0, p: float = 2.0):
     """Lift of a minimum of three unit-direction horizon fields on R^2."""
-    rng = np.random.default_rng(seed)
+    rng = ensure_rng(seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=3)
     offsets = rng.uniform(-1.0, 1.0, size=3)
     members = tuple(
@@ -405,7 +406,7 @@ def lifted_ray_calibration(U, measures) -> list[tuple]:
 def _run_lift_demo(cfg: ScenarioConfig) -> Report:
     report = Report("lift-demo", stamp=_stamp(cfg))
     p = cfg.p
-    rng = np.random.default_rng(cfg.seed)
+    rng = ensure_rng(cfg.seed)
     U = lift_demo_field(cfg.seed, p)
     corpus = [random_measure(rng, 6, 2, box=3.0) for _ in range(8)]
 

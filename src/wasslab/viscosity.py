@@ -120,10 +120,10 @@ class _Scan:
 
 def _check_radii(radii: Sequence[float]) -> tuple[float, ...]:
     radii = tuple(radii)
-    if not radii or not all(r > 0 for r in radii) or not all(  # nan fails it too
+    if not radii or not all(0 < r < math.inf for r in radii) or not all(  # nan fails it too
         radii[k] > radii[k + 1] for k in range(len(radii) - 1)
     ):
-        raise DomainError(f"radii must be positive and decreasing, got {radii}")
+        raise DomainError(f"radii must be positive, finite and decreasing, got {radii}")
     return radii
 
 
@@ -343,6 +343,8 @@ def dlg_test(U: MeasureField, omega: DiscreteMeasure, levels: Sequence[float],
     budget = check_count(budget, "budget")
     if not 0.0 <= eps < math.inf:  # nan fails it too
         raise DomainError(f"eps {eps} must be a finite number of at least 0")
+    if not all(math.isfinite(c) for c in levels):
+        raise DomainError(f"levels {list(levels)} must be finite")
     point = U.at(omega)
     base_value = point.value
     if not levels or not all(c < base_value - _DEGENERATE_PAIR for c in levels):
@@ -443,12 +445,12 @@ def greedy_descent(U: MeasureField, omega: DiscreteMeasure, eps: float,
     be whole numbers of at least 1, and steps * budget at most
     `wgeom.MAX_COUNT`.
     """
-    if not eps > 0.0:  # nan fails it too
-        raise DomainError(f"eps {eps} must be positive")
+    if not 0.0 < eps < math.inf:  # nan fails it too
+        raise DomainError(f"eps {eps} must be finite and positive")
     steps, budget = check_count(steps, "steps"), check_count(budget, "budget")
     check_count(steps * budget, "steps * budget")
-    if not step_length > 0.0:
-        raise DomainError(f"step_length {step_length} must be positive")
+    if not 0.0 < step_length < math.inf:
+        raise DomainError(f"step_length {step_length} must be finite and positive")
     rng = ensure_rng(rng)
     point = U.at(omega)
     vertices = [omega]

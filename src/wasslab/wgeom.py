@@ -1,8 +1,9 @@
 """Geometry of the space of discrete measures under W_p.
 
-Displacement-interpolation geodesics, unit-speed rays driven by per-atom base
-rays, truncated horizon-function estimates, exact sphere sampling, a
-compactness diagnostic for escaping sequences, and distance-limit evaluation.
+Displacement-interpolation geodesics, unit-speed rays that move each atom
+along its own unit direction, truncated horizon-function estimates, exact
+sphere sampling, a compactness diagnostic for escaping sequences, and
+distance-limit evaluation.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_space import UNIT_TOL, BaseRay, check_ray_time
+from .base_space import UNIT_TOL, _unit_vector
 from .discrete_measure import (
     DiscreteMeasure,
     MeasureSetSequence,
     check_exponent,
-    check_finite,
     validate_measure,
 )
 from .errors import (
@@ -42,10 +42,16 @@ TAIL_CAVEAT = "doubling certificate bounds the observed increment, not the unrep
 
 
 def ensure_rng(rng) -> np.random.Generator:
-    """Accept a Generator, a seed, or None (fixed default seed 0)."""
+    """Accept a Generator, a seed, or None (fixed default seed 0).
+
+    A seed numpy refuses, such as -1 or 0.5, is a `DomainError` naming it.
+    """
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(0 if rng is None else rng)
+    try:
+        return np.random.default_rng(0 if rng is None else rng)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"seed {rng!r} must be a whole number of at least 0") from exc
 
 
 def certified_distance(omega: DiscreteMeasure, x: DiscreteMeasure, p: float,
@@ -212,51 +218,47 @@ def displacement_path(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 2.0,
 
 @dataclass(frozen=True, eq=False)
 class WassersteinRay:
-    """Unit-speed ray t -> sum_i w_i delta_{origins[i] + t * directions[i]}.
+    """Unit-speed ray t -> sum_i w_i delta_{x_i + t * directions[i]}, t >= 0.
 
-    `origins` and `directions` are (n, d) arrays with one row per atom of
-    `base` (whose weights the ray carries) and unit direction rows. Valid
-    when the rows are descent rays of one shared 1-Lipschitz base field, as
+    `base` is sum_i w_i delta_{x_i}, and `directions` is an (n, d) array of
+    unit rows, one per atom of `base`, in its order. Valid when the rows are
+    descent directions of one shared 1-Lipschitz base field, as
     `measure_fields.lifted_ray` and `dirac_ray` build them; rows whose atoms
     cross may fall short of unit speed, and construction does not check it.
     """
 
     base: DiscreteMeasure
-    origins: np.ndarray
     directions: np.ndarray
     p: float = 2.0
 
     def __post_init__(self):
         check_exponent(self.p)
         n, d = self.base.n_atoms, self.base.dim
-        for name in ("origins", "directions"):
-            rows = np.array(getattr(self, name), dtype=float)
-            if rows.ndim != 2 or rows.shape[0] != n:
-                raise InvalidRay(f"{n} atoms but {name} of shape {rows.shape}")
-            if rows.shape[1] != d:
-                raise DimensionError(f"ray dim {rows.shape[1]} vs measure dim {d}")
-            rows.setflags(write=False)
-            object.__setattr__(self, name, rows)
-        check_finite(self.origins)  # as a support is refused, not at the first time evaluated
-        speeds = np.sqrt((self.directions * self.directions).sum(axis=1))
+        rows = np.array(self.directions, dtype=float)
+        if rows.ndim != 2 or rows.shape[0] != n:
+            raise InvalidRay(f"{n} atoms but directions of shape {rows.shape}")
+        if rows.shape[1] != d:
+            raise DimensionError(f"ray dim {rows.shape[1]} vs measure dim {d}")
+        speeds = np.sqrt((rows * rows).sum(axis=1))
         if not (np.abs(speeds - 1.0) <= UNIT_TOL).all():  # nan fails it too
             raise InvalidRay(f"per-atom rays must be unit speed, got {speeds.tolist()}")
+        rows.setflags(write=False)
+        object.__setattr__(self, "directions", rows)
 
     def eval(self, t: float) -> DiscreteMeasure:
         return validate_measure(self.rows(t), self.base.weights)
 
     def rows(self, t: float) -> np.ndarray:
         """The atoms at time t, one row per atom of `base`, in its order."""
-        check_ray_time(t)
-        return self.origins + t * self.directions
+        if not (math.isfinite(t) and t >= 0.0):  # nan fails every comparison
+            raise DomainError(f"ray parameter t={t} must be finite and non-negative")
+        return self.base.support + t * self.directions
 
 
 def dirac_ray(x, direction, p: float = 2.0) -> WassersteinRay:
-    """Ray of unit masses along a base ray; always unit speed."""
-    origin = np.asarray(x, dtype=float).reshape(1, -1)
-    base = validate_measure(origin, np.ones(1))
-    ray = BaseRay(origin[0], direction)
-    return WassersteinRay(base, ray.origin[None, :], ray.direction[None, :], p)
+    """Ray of a unit mass from x along `direction`, made unit by `_unit_vector`'s rule."""
+    base = validate_measure(np.asarray(x, dtype=float).reshape(1, -1), np.ones(1))
+    return WassersteinRay(base, _unit_vector(direction, base.support[0])[None, :], p)
 
 
 @dataclass(frozen=True)
@@ -420,8 +422,8 @@ def sphere_candidates(omega: DiscreteMeasure, r: float, p: float = 2.0,
     draws from rng exactly what `sphere_sample` draws, and raises
     `SphereSamplingFailed` if no candidate landed in the band.
     """
-    if not r > 0.0:
-        raise DomainError(f"radius {r} must be positive")
+    if not 0.0 < r < math.inf:  # nan fails it too
+        raise DomainError(f"radius {r} must be finite and positive")
     return _sphere_stream(omega, r, p, check_count(budget, "budget"), ensure_rng(rng))
 
 

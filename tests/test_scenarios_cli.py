@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +12,17 @@ import pytest
 import wasslab
 from wasslab.acceptance import run_all
 from wasslab.cli import main
-from wasslab.errors import InvalidMeasure, ParseError
+from wasslab.errors import DomainError, InvalidMeasure, ParseError
 from wasslab.scenarios import (
     Report,
     ScenarioConfig,
     emit_report,
     escaping_mixture,
+    lift_demo_field,
     load_measures,
     run_scenario,
 )
+from wasslab.wgeom import ensure_rng
 
 
 def _write_measures(tmp_path, name="measures.json"):
@@ -124,6 +127,15 @@ def test_unknown_scenario():
         run_scenario(ScenarioConfig("nope"))
 
 
+@pytest.mark.parametrize("seed", [-1, 0.5, math.nan, "7"])
+def test_a_seed_numpy_refuses_is_a_domain_error_naming_it(seed):
+    # numpy's ValueError or TypeError once escaped as a traceback, or went unread by ex5
+    for build in (lambda: ensure_rng(seed), lambda: ScenarioConfig("ex5", seed=seed),
+                  lambda: lift_demo_field(seed)):
+        with pytest.raises(DomainError, match=re.escape(f"seed {seed!r}")):
+            build()
+
+
 def test_cli_wp_and_geodesic(tmp_path, capsys):
     path = _write_measures(tmp_path)
     assert main(["wp", str(path), "--i", "1", "--j", "2", "--p", "1"]) == 0
@@ -167,7 +179,7 @@ def test_cli_descend_does_not_pass_a_field_steeper_than_its_bound(tmp_path, caps
                                                                   monkeypatch):
     # slope 2 along +x while declaring Lipschitz bound 1; no JSON config builds it
     steep = wasslab.lift(wasslab.CustomField(lambda x: -2.0 * x[0], dim=1,
-                                             ray_fn=lambda x: wasslab.BaseRay(x, [1.0])))
+                                             direction_fn=lambda x: [1.0]))
     monkeypatch.setattr("wasslab.cli.measure_field_from_config", lambda cfg, p: steep)
     cfg = {"field": {"kind": "lifted"},
            "omega": {"dim": 1, "support": [[0.0], [1.0]], "weights": [0.5, 0.5]},
@@ -190,7 +202,7 @@ def _strict_json(text):
 
 def test_cli_stall_reports_its_refuter(tmp_path, capsys, monkeypatch):
     steep = wasslab.lift(wasslab.CustomField(lambda x: -2.0 * x[0], dim=1,
-                                             ray_fn=lambda x: wasslab.BaseRay(x, [1.0])))
+                                             direction_fn=lambda x: [1.0]))
     monkeypatch.setattr("wasslab.cli.measure_field_from_config", lambda cfg, p: steep)
     cfg_path = tmp_path / "steep.json"
     cfg_path.write_text(json.dumps({
@@ -332,6 +344,7 @@ def _malformed_inputs(tmp_path):
     fractional_steps.write_text(json.dumps(dict(unit_slope, steps=2.5)))
     huge_budget = tmp_path / "huge_budget.json"
     huge_budget.write_text(json.dumps(dict(unit_slope, budget=1e18)))
+    (tmp_path / "unit_slope.json").write_text(json.dumps(unit_slope))
     # nan fails every comparison, so each of these must be refused, not run
     busemann = {"field": {"kind": "lifted",
                           "base": {"variant": "busemann", "direction": [1.0, 0.0]}},
@@ -382,6 +395,11 @@ def _malformed_inputs(tmp_path):
         "descend-budget-huge": ["descend", str(huge_budget)],
         "check-viscosity-dim-mismatch": ["check-viscosity", str(dim_mismatch)],
         "descend-dim-mismatch": ["descend", str(dim_mismatch)],
+        # exit 1 means "not PASS", so a seed numpy refuses once read as a verdict
+        **{f"{cmd}-seed-negative": [cmd, str(tmp_path / "unit_slope.json"), "--seed", "-1"]
+           for cmd in ("check-viscosity", "slope", "descend")},
+        **{f"reproduce-{name}-seed-negative": ["reproduce", name, "--seed", "-1"]
+           for name in ("ex3", "ex5", "lift-demo")},
         "geodesic-i-too-large": ["geodesic", str(measures), "--i", "9"],
         "geodesic-t-nan": ["geodesic", str(measures), "--t", "nan"],
         "geodesic-frac-nan": ["geodesic", str(measures), "--frac", "nan"],
@@ -423,6 +441,9 @@ def _malformed_inputs(tmp_path):
     "descend-epsilon-nan", "descend-step_length-nan", "check-viscosity-radii-nan",
     "check-viscosity-dim-mismatch", "descend-dim-mismatch", "check-viscosity-field-p-half",
     "check-viscosity-value-nan", "check-viscosity-offset-nan", "check-viscosity-value-overflow",
+    "check-viscosity-seed-negative", "slope-seed-negative", "descend-seed-negative",
+    "reproduce-ex3-seed-negative", "reproduce-ex5-seed-negative",
+    "reproduce-lift-demo-seed-negative",
 ])
 def test_cli_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert main(_malformed_inputs(tmp_path)[case]) == 2

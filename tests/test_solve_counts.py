@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wasslab import wgeom
-from wasslab.base_space import BaseRay, BusemannField, CustomField, DistanceField, MinField
+from wasslab.base_space import BusemannField, CustomField, DistanceField, MinField
 from wasslab.discrete_measure import validate_measure
 from wasslab.measure_fields import ConstantField, DistanceToField, lift
 from wasslab.viscosity import dlg_test, greedy_descent, viscosity_sphere_test
@@ -65,11 +65,11 @@ def test_a_declared_bound_still_solves_its_candidate(solves):
     # -|x| moves the atoms at -0.1 and 0.1 apart: the mean shift is 0 and the atoms
     # pass within each other's reach, so only a base proven 1-Lipschitz skips the solve
     omega = validate_measure([[-0.1], [0.1]], [0.5, 0.5])
-    away = lambda x: BaseRay(x, np.sign(x))  # noqa: E731
     proven = lift(DistanceField([[0.0]], sign=-1), 2.0)
     assert proven.at(omega).candidate(1.0)[1] == 1.0 and not solves
     for slope in (1.0, 2.0):
-        declared = lift(CustomField(lambda x: -slope * abs(x[0]), dim=1, ray_fn=away), 2.0)
+        declared = lift(CustomField(lambda x: -slope * abs(x[0]), dim=1, direction_fn=np.sign),
+                        2.0)
         solves.clear()
         _, cert, value = declared.at(omega).candidate(1.0)
         assert len(solves) == 1 and cert == pytest.approx(1.0, abs=1e-12)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wasslab.base_space import (
-    BaseRay,
     BusemannField,
     CustomField,
     DistanceField,
@@ -53,7 +52,7 @@ from wasslab.viscosity import (
     representation_check,
     viscosity_sphere_test,
 )
-from wasslab.wgeom import dirac_ray, dlc_limit, sphere_sample
+from wasslab.wgeom import dirac_ray, dlc_limit, sphere_candidates, sphere_sample
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -75,8 +74,14 @@ def test_lift_examples():
 
 
 def test_lift_requires_unit_lipschitz():
-    with pytest.raises(DomainError):
-        lift(CustomField(lambda x: 2.0 * x[0], dim=1, lipschitz=2.0), 2.0)
+    # built directly, a LiftedField of a steeper base once built and ran its verdicts
+    steep = CustomField(lambda x: 2.0 * x[0], dim=1, lipschitz=2.0)
+    for build in (lift, LiftedField):
+        with pytest.raises(DomainError, match="Lipschitz bound 2.0 exceeds 1"):
+            build(steep, 2.0)
+    with pytest.raises(DomainError, match="exponent"):  # the exponent is checked first
+        LiftedField(steep, 0.5)
+    assert LiftedField(CustomField(lambda x: 0.0, dim=1, lipschitz=1.0 + 1e-10)).p == 2.0
 
 
 def test_eval_field_variants():
@@ -166,7 +171,8 @@ def test_slope_dichotomy():
 def test_sphere_test_checks_radii_and_eps_up_front():
     U = lift(BusemannField(np.array([1.0])), 2.0)
     omega = _mix((0.0, 0.5), (1.0, 0.5))
-    for radii in ((-1.0,), (0.1, 0.5), (math.nan,), (1.0, math.nan), (math.nan, 0.5)):
+    for radii in ((-1.0,), (0.1, 0.5), (math.nan,), (1.0, math.nan), (math.nan, 0.5),
+                  (math.inf,), (math.inf, 1.0)):
         with pytest.raises(DomainError, match="radii must be positive"):
             viscosity_sphere_test(U, omega, radii=radii, rng=0)
     for eps in (-1.0, 0.0, 1.0, math.nan):
@@ -356,11 +362,32 @@ def test_greedy_descent_follows_ray():
     assert abs((poly.values[0] - poly.values[-1]) - 20.0) <= 1e-8
     assert poly.check_inequality()
     assert poly.observed_slack() <= 1e-2
-    for step_length in (-1.0, math.nan):
+    for step_length in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="step_length"):
             greedy_descent(U, omega, eps=1e-2, steps=1, step_length=step_length, rng=rng)
     with pytest.raises(DomainError, match="eps nan"):
         greedy_descent(U, omega, eps=math.nan, steps=1, rng=rng)
+
+
+def test_lengths_given_to_a_verdict_must_be_finite(solves):
+    # each once failed deep in the sampler on a non-finite support, after a solve, and
+    # an infinite eps let a constant field descend
+    U = DistanceToField(dirac([5.0, 0.0]))
+    omega = validate_measure([[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5])
+    refused = {
+        "radii": [lambda: local_slope_estimate(U, omega, radii=(math.inf, 1.0), rng=0)],
+        "radius": [lambda: sphere_candidates(omega, math.inf),
+                   lambda: sphere_sample(omega, math.inf)],
+        "levels": [lambda: dlg_test(U, omega, levels=[-math.inf], rng=0),
+                   lambda: dlg_test(U, omega, levels=[-1.0, math.nan], rng=0)],
+        "eps": [lambda: greedy_descent(ConstantField(0.0), omega, eps=math.inf, steps=2,
+                                       rng=0)],
+    }
+    for name, calls in refused.items():
+        for call in calls:
+            with pytest.raises(DomainError, match=name):
+                call()
+    assert not solves
 
 
 def test_greedy_descent_constant_stalls_at_first_step():
@@ -481,7 +508,7 @@ def _steep(slope, direction=(1.0,), shift=None):
     u = np.asarray(direction, dtype=float)
     at = np.zeros_like(u) if shift is None else np.asarray(shift, dtype=float)
     return lift(CustomField(lambda x: -slope * float(np.dot(x - at, u)), dim=u.shape[0],
-                            ray_fn=lambda x: BaseRay(x, u)), 2.0)
+                            direction_fn=lambda x: u), 2.0)
 
 
 def test_a_drop_beyond_its_distance_rules_out_pass():
@@ -579,7 +606,7 @@ def test_a_lifted_distance_from_one_anchor_never_fails(anchor, omega, seed):
 def test_a_busemann_field_of_slope_below_one_never_passes(c, direction, offset, omega, seed):
     # c times a Busemann field drops at most c per unit of distance, short of 1 - eps
     flat = CustomField(lambda x: c * (offset - float(np.dot(x, direction))), dim=2,
-                       lipschitz=c, ray_fn=lambda x: BaseRay(x, direction))
+                       lipschitz=c, direction_fn=lambda x: direction)
     assert "PASS" not in _verdicts(lift(flat, 2.0), omega, seed)
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from wasslab import ot_exact, wgeom
 from wasslab.base_space import (
     UNIT_TOL,
-    BaseRay,
     BusemannField,
     CustomField,
     DistanceField,
@@ -208,17 +207,7 @@ def test_dirac_ray_samples_raise_what_a_solve_raises():
     for found in messages.values():
         assert found[0] == found[1]
     with pytest.raises(DomainError, match="non-finite"):
-        WassersteinRay(dirac([0.0]), z, np.array([[1.0]]), 2.0)
-
-
-def test_a_ray_refuses_non_finite_origins_as_a_support_is_refused():
-    base = validate_measure([[0.0], [1.0]], [0.5, 0.5])
-    with pytest.raises(DomainError) as refused:
-        validate_measure([[0.0], [math.inf]], [0.5, 0.5])
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(DomainError) as info:
-            WassersteinRay(base, np.array([[0.0], [bad]]), np.ones((2, 1)), 2.0)
-        assert str(info.value) == str(refused.value)
+        dirac_ray([math.inf], [1.0], 2.0)
 
 
 def test_dirac_ray_stops_before_its_later_samples():
@@ -511,13 +500,13 @@ def test_every_ray_construction_refuses_count_dimension_and_speed():
     base = validate_measure([[0.0], [1.0]], [0.5, 0.5])
     e1 = np.array([1.0])
     with pytest.raises(InvalidRay):
-        WassersteinRay(base, np.zeros((3, 1)), np.ones((3, 1)), 2.0)
+        WassersteinRay(base, np.ones((3, 1)), 2.0)
     with pytest.raises(DimensionError):
-        WassersteinRay(base, np.zeros((2, 2)), np.array([[1.0, 0.0]] * 2), 2.0)
+        WassersteinRay(base, np.array([[1.0, 0.0]] * 2), 2.0)
     with pytest.raises(InvalidRay):
-        WassersteinRay(base, np.zeros((2, 1)), np.array([[1.0], [math.nan]]), 2.0)
-    with pytest.raises(InvalidRay):
-        WassersteinRay(base, np.array([[0.0], [1.0]]), np.array([[1.0], [2.0]]), 2.0)
+        WassersteinRay(base, np.array([[1.0], [math.nan]]), 2.0)
+    with pytest.raises(InvalidRay):  # refused, not renormalized as dirac_ray does
+        WassersteinRay(base, np.array([[1.0], [1.0 + 5e-10]]), 2.0)
     with pytest.raises(DimensionError):
         dirac_ray([0.0], [1.0, 0.0], 2.0)
     with pytest.raises(DomainError):
@@ -526,18 +515,25 @@ def test_every_ray_construction_refuses_count_dimension_and_speed():
         lifted_ray(lift(BusemannField(np.array([1.0, 0.0])), 2.0), base)
 
 
-def test_custom_field_rays_keep_the_origins_ray_fn_returns():
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.1])
+def test_a_ray_refuses_a_negative_or_non_finite_time(t):
     base = validate_measure([[0.0], [1.0]], [0.5, 0.5])
-    u = CustomField(lambda x: -x[0], dim=1, ray_fn=lambda x: BaseRay(x + 1.0, [1.0]))
-    ray = lifted_ray(lift(u, 2.0), base)
-    assert np.array_equal(ray.origins, [[1.0], [2.0]])
-    assert np.array_equal(ray.directions, [[1.0], [1.0]])
-    assert np.array_equal(ray.eval(0.5).support, [[1.5], [2.5]])
+    for ray in (dirac_ray([0.0], [1.0], 2.0), lifted_ray(lift(BusemannField([1.0])), base)):
+        with pytest.raises(DomainError, match="t="):
+            ray.rows(t)
 
 
-def _one_row_ray(u):
-    """x -> the `BaseRay` of u's `descent_rays` on the one row x."""
-    return lambda x: BaseRay(*(rows[0] for rows in u.descent_rays(x[None, :])))
+def test_a_ray_moves_each_atom_of_its_base_along_its_direction():
+    base = validate_measure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+    ray = WassersteinRay(base, np.array([[1.0, 0.0], [0.0, -1.0]]), 2.0)
+    assert np.array_equal(ray.rows(0.0), base.support)
+    assert np.array_equal(ray.rows(5.0), [[5.0, 0.0], [1.0, -5.0]])
+    assert np.array_equal(dirac_ray([1.0], [-1.0]).eval(3.0).support, [[-2.0]])
+
+
+def _one_row_direction(u):
+    """x -> u's `descent_rays` on the one row x."""
+    return lambda x: u.descent_rays(x[None, :])[0]
 
 
 @st.composite
@@ -545,7 +541,7 @@ def _lifted_case(draw):
     """A measure of 1-6 atoms in R^d, d <= 3, and a base field with global rays.
 
     The field is a minimum of 1-4 Busemann fields or a single-anchor distance
-    field, sometimes behind a `CustomField` whose `ray_fn` is the field's
+    field, sometimes behind a `CustomField` whose `direction_fn` is the field's
     `descent_rays` on one row. An atom at the origin, grid coordinates, signed axis
     directions and offsets in {0, 1} plant exact ties between members; an
     anchor drawn from the atoms
@@ -577,7 +573,7 @@ def _lifted_case(draw):
             offset = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-2.0, 2.0)))
             members.append(BusemannField(v, offset))
         u = MinField(members)
-    lifted = CustomField(u.evaluate, dim=d, ray_fn=_one_row_ray(u)) \
+    lifted = CustomField(u.evaluate, dim=d, direction_fn=_one_row_direction(u)) \
         if draw(st.booleans()) else u
     return omega, lifted, u
 
@@ -599,7 +595,7 @@ def test_lifted_rays_match_their_definition(case, p):
     omega, lifted, u = case
     U = lift(lifted, p)
     ray = lifted_ray(U, omega)
-    assert np.array_equal(ray.origins, omega.support)
+    assert np.array_equal(ray.rows(0.0), omega.support)
     for x, direction in zip(omega.support, ray.directions):
         assert np.allclose(direction, _expected_direction(u, x), rtol=0.0, atol=1e-15)
     for t in (0.5, 3.0):
@@ -616,9 +612,8 @@ def test_a_lifted_base_point_has_the_bits_of_the_field_and_its_ray(case, p):
     point = U.at(omega)
     assert point.value == U.evaluate(omega)
     ray = lifted_ray(U, omega)
-    origins, directions = point.rays
-    assert origins.tobytes() == ray.origins.tobytes()
-    assert directions.tobytes() == ray.directions.tobytes()
+    assert ray.base is omega
+    assert point.directions.tobytes() == ray.directions.tobytes()
 
 
 def test_a_lifted_minimum_asks_only_its_picked_members_for_rays():
@@ -628,9 +623,9 @@ def test_a_lifted_minimum_asks_only_its_picked_members_for_rays():
                      DistanceField(np.array([[-10.0], [10.0]]), sign=-1)))
     U = lift(base, 2.0)
     away = validate_measure([[5.0], [7.0]], [0.5, 0.5])  # -x <= -distance, a tie at 5
-    assert np.array_equal(U.at(away).rays[1], [[1.0], [1.0]])
+    assert np.array_equal(U.at(away).directions, [[1.0], [1.0]])
     near = validate_measure([[1.0], [7.0]], [0.5, 0.5])  # -9 at 1 is the distance's
-    for build in (lambda: U.at(near).rays, lambda: lifted_ray(U, near)):
+    for build in (lambda: U.at(near).directions, lambda: lifted_ray(U, near)):
         with pytest.raises(UnsupportedField):
             build()
 
